@@ -300,17 +300,49 @@ impl AdmitClient {
 
     /// One send-and-read attempt over the current (or a fresh) connection.
     fn attempt(&mut self, line: &str) -> std::io::Result<String> {
+        self.send(line)?;
+        self.recv()
+    }
+
+    /// The first half of a single attempt: writes `line` over the current
+    /// (or a fresh) connection in one write, without waiting for the
+    /// response. Pair every successful `send` with one [`recv`], in
+    /// order; a caller may send to several servers before receiving from
+    /// any of them. No retries and no fallback — on failure, [`request`]
+    /// is the retrying path. Fails while the breaker is open.
+    ///
+    /// [`recv`]: AdmitClient::recv
+    /// [`request`]: AdmitClient::request
+    ///
+    /// # Errors
+    ///
+    /// Connect or write failures (the connection is dropped).
+    pub fn send(&mut self, line: &str) -> std::io::Result<()> {
+        if self.breaker_open() {
+            return Err(std::io::Error::other("breaker open"));
+        }
         self.connect()?;
         let conn = self.conn.as_mut().expect("connected above");
-        let send = conn
-            .get_mut()
-            .write_all(line.as_bytes())
-            .and_then(|()| conn.get_mut().write_all(b"\n"))
-            .and_then(|()| conn.get_mut().flush());
-        if let Err(e) = send {
+        let mut framed = String::with_capacity(line.len() + 1);
+        framed.push_str(line);
+        framed.push('\n');
+        let sent = conn.get_mut().write_all(framed.as_bytes());
+        if sent.is_err() {
             self.conn = None;
-            return Err(e);
         }
+        sent
+    }
+
+    /// The second half of a single attempt: reads the response to the
+    /// oldest request [`send`](AdmitClient::send) wrote.
+    ///
+    /// # Errors
+    ///
+    /// Read failures, a timeout, or EOF (the connection is dropped).
+    pub fn recv(&mut self) -> std::io::Result<String> {
+        let conn = self.conn.as_mut().ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::NotConnected, "no request in flight")
+        })?;
         let mut response = String::new();
         match conn.read_line(&mut response) {
             Ok(0) => {
@@ -320,7 +352,12 @@ impl AdmitClient {
                     "server closed the connection",
                 ))
             }
-            Ok(_) => Ok(response.trim_end().to_string()),
+            Ok(_) => {
+                self.consecutive_failures = 0;
+                self.breaker = Breaker::Closed;
+                self.metrics.responses += 1;
+                Ok(response.trim_end().to_string())
+            }
             Err(e) => {
                 self.conn = None;
                 Err(e)
@@ -355,12 +392,7 @@ impl AdmitClient {
                 std::thread::sleep(delay);
             }
             match self.attempt(line) {
-                Ok(response) => {
-                    self.consecutive_failures = 0;
-                    self.breaker = Breaker::Closed;
-                    self.metrics.responses += 1;
-                    return Ok(response);
-                }
+                Ok(response) => return Ok(response),
                 Err(e) => last = Some(e),
             }
         }

@@ -183,13 +183,17 @@ impl<'a, 'p> Cursor<'a, 'p> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or escape.
+                    // Both delimiters are ASCII, so the run is whole UTF-8
+                    // scalars of the input &str: validating just the run
+                    // keeps decoding linear in the string's length.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("character"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -598,5 +602,24 @@ mod tests {
         let line = format!("{{\"s\":\"{}\"}}", escape(raw));
         let kv = parse_object(&line).unwrap();
         assert_eq!(get(&kv, "s").unwrap().as_str(), Some(raw));
+    }
+
+    #[test]
+    fn large_mixed_strings_round_trip_byte_for_byte() {
+        // ASCII, a 2-byte scalar, a 4-byte scalar and every character
+        // `escape` rewrites (quote, backslash and all C0 controls).
+        let mut unit = String::from("t=12.5 \u{3c4}42 accepted@3 \u{1f600} \"q\" \\ /");
+        unit.extend((0u8..0x20).map(char::from));
+        let mut raw = String::new();
+        while raw.len() < 256 * 1024 {
+            raw.push_str(&unit);
+        }
+        let line = format!("{{\"dlog\":\"{}\",\"ok\":true}}", escape(&raw));
+        let kv = parse_object(&line).unwrap();
+        assert_eq!(
+            get(&kv, "dlog").unwrap().as_str().unwrap().as_bytes(),
+            raw.as_bytes()
+        );
+        assert_eq!(get(&kv, "ok"), Some(&JsonValue::Bool(true)));
     }
 }

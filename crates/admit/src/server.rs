@@ -28,7 +28,8 @@
 //!
 //! The same handler serves stdin/stdout ([`serve_lines`]) and TCP
 //! connections ([`serve_tcp`], one thread per connection over a shared
-//! engine). The engine core itself stays `DVS_THREADS`-deterministic —
+//! engine); `dvs_routerd` runs its router through the same session loop
+//! ([`serve_session_with`]). The engine core stays `DVS_THREADS`-deterministic —
 //! concurrency only affects the interleaving of *independent sessions'*
 //! requests, never the outcome of a given event sequence.
 //!
@@ -341,8 +342,10 @@ fn handle_inner(
                     None => format!("{}:-", id.index()),
                 })
                 .collect();
-            let departed: Vec<String> =
-                engine.departed_ids().map(|id| id.index().to_string()).collect();
+            let departed: Vec<String> = engine
+                .departed_ids()
+                .map(|id| id.index().to_string())
+                .collect();
             Ok(format!(
                 "{{\"ok\":true,\"op\":\"present\",\"tasks\":\"{}\",\"departed\":\"{}\"}}",
                 json::escape(&tasks.join(" ")),
@@ -581,10 +584,34 @@ pub fn serve_session_role<R: Read, W: Write>(
     ctl: &ServerControl,
     role: Option<&RoleContext>,
 ) -> std::io::Result<SessionEnd> {
+    let mut scratch = json::Scratch::default();
+    serve_session_with(reader, writer, ctl, |request| {
+        // The loop counts this request in flight before calling in.
+        let fast = opts.overload_threshold.is_some_and(|th| ctl.pending() > th);
+        handle_line_role(engine, request, &mut scratch, fast, role)
+    })
+}
+
+/// The session loop behind every server, generic over the request
+/// handler: `dvs_admitd` passes its engine dispatch, `dvs_routerd` its
+/// cluster router. Batching, flushing, drain and timeout behave exactly
+/// as documented on [`serve_session`]; each response goes into the write
+/// buffer as one whole line, so every transport write ends on a line
+/// boundary.
+///
+/// # Errors
+///
+/// Propagates I/O errors on the transport (protocol errors are reported
+/// in-band by `handle`).
+pub fn serve_session_with<R: Read, W: Write>(
+    reader: R,
+    writer: W,
+    ctl: &ServerControl,
+    mut handle: impl FnMut(&str) -> Handled,
+) -> std::io::Result<SessionEnd> {
     let mut reader = BufReader::new(reader);
     let mut writer = BufWriter::new(writer);
     let mut line = String::new();
-    let mut scratch = json::Scratch::default();
     loop {
         if reader.buffer().is_empty() {
             writer.flush()?;
@@ -617,13 +644,10 @@ pub fn serve_session_role<R: Read, W: Write>(
             continue;
         }
         ctl.pending.fetch_add(1, Ordering::SeqCst);
-        let fast = opts
-            .overload_threshold
-            .is_some_and(|th| ctl.pending.load(Ordering::SeqCst) > th);
-        let handled = handle_line_role(engine, request, &mut scratch, fast, role);
+        let mut handled = handle(request);
         ctl.pending.fetch_sub(1, Ordering::SeqCst);
+        handled.response.push('\n');
         writer.write_all(handled.response.as_bytes())?;
-        writer.write_all(b"\n")?;
         if handled.shutdown {
             writer.flush()?;
             return Ok(SessionEnd::Shutdown);

@@ -71,8 +71,12 @@ fn jconfig() -> JournalConfig {
     }
 }
 
+/// A fresh directory per call: concurrent runs in one process (the unit
+/// tests) replay the same seeds and must not share journal files.
 fn wal_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("bench_r2_chaos_{}", std::process::id()));
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("bench_r2_chaos_{}_{call}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
 }
@@ -173,6 +177,7 @@ pub fn run_one(scale: Scale, seed: u64) -> ChaosRun {
     for p in [&wal, &wal_fast, &wal_cut] {
         let _ = std::fs::remove_file(p);
     }
+    let _ = std::fs::remove_dir(&dir);
     ChaosRun {
         eps_plain,
         eps_journal,

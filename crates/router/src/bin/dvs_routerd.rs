@@ -53,12 +53,13 @@
 //! `--spawn K`, and restarting with the same flags respawns every
 //! journaled member, not K of them.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};
 
 use dvs_admit::json::{self, JsonValue};
+use dvs_admit::server::{serve_session_with, Handled, ServerControl, SessionEnd};
 use dvs_admit::ClientConfig;
 use dvs_router::{Router, ShardMap, ShardSpec};
 
@@ -122,8 +123,10 @@ fn admitd_path() -> Result<PathBuf, String> {
 }
 
 /// Spawns a `dvs_admitd` child and reads the bound address from its
-/// `listening on ADDR` line. The rest of the child's stdout is drained
-/// by a reaper thread so the pipe can never block it.
+/// `listening on ADDR` line. A `--listen` shard prints nothing after its
+/// banner (its final stats go to stderr), so the pipe is handed back to
+/// the child handle unread: it stays open, and a stray write can never
+/// fail with a broken pipe.
 fn spawn_admitd(admitd: &Path, args: &[String]) -> Result<(Child, String), String> {
     let mut child = Command::new(admitd)
         .args(args)
@@ -143,10 +146,7 @@ fn spawn_admitd(admitd: &Path, args: &[String]) -> Result<(Child, String), Strin
         .strip_prefix("listening on ")
         .ok_or_else(|| format!("unexpected child banner {line:?}"))?
         .to_string();
-    std::thread::spawn(move || {
-        let mut sink = Vec::new();
-        let _ = reader.read_to_end(&mut sink);
-    });
+    child.stdout = Some(reader.into_inner());
     Ok((child, addr))
 }
 
@@ -257,42 +257,6 @@ fn prepare_reshard(
         }
         _ => Ok(request.to_string()),
     }
-}
-
-fn serve<R: BufRead, W: Write>(
-    router: &mut Router,
-    reader: R,
-    mut writer: W,
-    mut fleet: Option<(&mut Vec<SpawnedShard>, &SpawnCtx)>,
-) -> std::io::Result<bool> {
-    for line in reader.lines() {
-        let line = line?;
-        let mut request = line.trim().to_string();
-        if request.is_empty() {
-            continue;
-        }
-        if let Some((children, ctx)) = fleet.as_mut() {
-            match prepare_reshard(&request, children, ctx) {
-                Ok(prepared) => request = prepared,
-                Err(msg) => {
-                    writeln!(
-                        writer,
-                        "{{\"ok\":false,\"kind\":\"reshard\",\"error\":\"{}\"}}",
-                        json::escape(&msg)
-                    )?;
-                    writer.flush()?;
-                    continue;
-                }
-            }
-        }
-        let handled = router.handle_line(&request);
-        writeln!(writer, "{}", handled.response)?;
-        writer.flush()?;
-        if handled.shutdown {
-            return Ok(true);
-        }
-    }
-    Ok(false)
 }
 
 #[allow(clippy::too_many_lines)]
@@ -516,13 +480,33 @@ fn run() -> Result<(), String> {
     }
     .map_err(|e| e.to_string())?;
 
-    let result = match mode {
-        Mode::Stdin => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            let fleet = spawn_ctx.as_ref().map(|ctx| (&mut children, ctx));
-            serve(&mut router, stdin.lock(), stdout.lock(), fleet).map_err(|e| e.to_string())
+    // Every session runs through dvs_admitd's session loop (batch flush,
+    // whole-line writes). In spawn mode a reshard request first gets its
+    // fleet work done here, before the router sees it.
+    let ctl = ServerControl::new();
+    let mut handle = |request: &str| {
+        let prepared = match &spawn_ctx {
+            Some(ctx) => prepare_reshard(request, &mut children, ctx),
+            None => Ok(request.to_string()),
+        };
+        match prepared {
+            Ok(request) => router.handle_line(&request),
+            Err(msg) => Handled {
+                response: format!(
+                    "{{\"ok\":false,\"kind\":\"reshard\",\"error\":\"{}\"}}",
+                    json::escape(&msg)
+                ),
+                shutdown: false,
+            },
         }
+    };
+    let end = match mode {
+        Mode::Stdin => serve_session_with(
+            std::io::stdin().lock(),
+            std::io::stdout().lock(),
+            &ctl,
+            &mut handle,
+        ),
         Mode::Listen(addr) => {
             let listener = TcpListener::bind(&addr).map_err(|e| format!("bind {addr}: {e}"))?;
             let local = listener.local_addr().map_err(|e| e.to_string())?;
@@ -531,21 +515,22 @@ fn run() -> Result<(), String> {
             // One session at a time: the merged decision log is one
             // serialized stream, so interleaving sessions would make the
             // cluster history depend on connection scheduling.
-            let mut end = Ok(false);
+            let mut end = Ok(SessionEnd::Eof);
             for stream in listener.incoming() {
                 let stream = stream.map_err(|e| e.to_string())?;
-                let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-                let fleet = spawn_ctx.as_ref().map(|ctx| (&mut children, ctx));
-                end = serve(&mut router, reader, stream, fleet).map_err(|e| e.to_string());
-                match end {
-                    Ok(true) | Err(_) => break,
-                    Ok(false) => {}
+                // Responses are flushed per batch by the session loop, so
+                // Nagle would only delay each batch's last segment.
+                stream.set_nodelay(true).map_err(|e| e.to_string())?;
+                let reader = stream.try_clone().map_err(|e| e.to_string())?;
+                end = serve_session_with(reader, stream, &ctl, &mut handle);
+                if !matches!(end, Ok(SessionEnd::Eof)) {
+                    break;
                 }
             }
             end
         }
     };
-    let shutdown = result?;
+    let shutdown = end.map_err(|e| e.to_string())? == SessionEnd::Shutdown;
     if !shutdown {
         // EOF without a shutdown op: shut the fleet down ourselves so
         // spawned children do not outlive the router.

@@ -65,7 +65,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dvs_admit::json::{self, JsonValue};
 use dvs_admit::server::Handled;
-use dvs_admit::{AdmitClient, ClientConfig};
+use dvs_admit::{AdmitClient, ClientConfig, ClientError};
 
 use crate::map::ShardMap;
 
@@ -159,12 +159,9 @@ impl Slot {
 }
 
 struct Shard {
-    /// Requests to this shard's dedicated worker thread (which owns the
-    /// primary connection). One request in flight per shard at a time;
-    /// the worker answers on `rx` in request order.
-    tx: std::sync::mpsc::Sender<String>,
-    rx: std::sync::mpsc::Receiver<Result<String, String>>,
-    worker: Option<std::thread::JoinHandle<()>>,
+    /// The primary (write) connection, owned inline: requests run on the
+    /// router's thread, and dropping the client closes the connection.
+    primary: AdmitClient,
     replica: Option<AdmitClient>,
     /// The member name this shard serves. Routing goes through names,
     /// not indices: the map's member list shifts on removal, while a
@@ -179,60 +176,21 @@ struct Shard {
     slots: Vec<Slot>,
 }
 
-/// Builds one shard endpoint: the worker thread owning the primary
-/// connection, the optional read replica, and an empty slot table (the
-/// caller fills it from the map or grows it via imports).
-fn connect_shard(label: usize, name: &str, spec: &ShardSpec, client: &ClientConfig) -> Shard {
-    let mut cfg = client.clone();
-    cfg.addr = spec.addr.clone();
-    let replica = spec.replica.as_ref().map(|addr| {
-        let mut rcfg = client.clone();
-        rcfg.addr = addr.clone();
-        AdmitClient::new(rcfg)
-    });
-    let (req_tx, req_rx) = std::sync::mpsc::channel::<String>();
-    let (resp_tx, resp_rx) = std::sync::mpsc::channel::<Result<String, String>>();
-    let primary = AdmitClient::new(cfg);
-    let worker = std::thread::spawn(move || shard_worker(label, primary, &req_rx, &resp_tx));
+/// Builds one shard endpoint: the (lazily connecting) primary client,
+/// the optional read replica, and an empty slot table (the caller fills
+/// it from the map or grows it via imports).
+fn connect_shard(name: &str, spec: &ShardSpec, client: &ClientConfig) -> Shard {
+    let endpoint = |addr: &str| {
+        let mut cfg = client.clone();
+        cfg.addr = addr.to_string();
+        AdmitClient::new(cfg)
+    };
     Shard {
-        tx: req_tx,
-        rx: resp_rx,
-        worker: Some(worker),
-        replica,
+        primary: endpoint(&spec.addr),
+        replica: spec.replica.as_deref().map(endpoint),
         name: name.to_string(),
         spec: spec.clone(),
         slots: Vec::new(),
-    }
-}
-
-/// Winds a shard's worker down: replacing the request channel ends the
-/// worker's loop, which drops the primary connection (the shard server
-/// session sees EOF), and the join bounds the cleanup.
-fn wind_down(shard: &mut Shard) {
-    let (tx, _) = std::sync::mpsc::channel();
-    drop(std::mem::replace(&mut shard.tx, tx));
-    if let Some(worker) = shard.worker.take() {
-        let _ = worker.join();
-    }
-}
-
-/// The per-shard worker: owns the primary connection and serves one
-/// request at a time off its channel. Persistent (rather than spawned
-/// per fan-out) so a cluster tick costs two channel hops per shard, not
-/// a thread spawn.
-fn shard_worker(
-    s: usize,
-    mut client: AdmitClient,
-    rx: &std::sync::mpsc::Receiver<String>,
-    tx: &std::sync::mpsc::Sender<Result<String, String>>,
-) {
-    while let Ok(line) = rx.recv() {
-        let resp = client
-            .request(&line)
-            .map_err(|e| err_response("shard-unavailable", None, &format!("shard {s}: {e}")));
-        if tx.send(resp).is_err() {
-            break;
-        }
     }
 }
 
@@ -264,6 +222,10 @@ fn err_response(kind: &str, id: Option<usize>, msg: &str) -> String {
     )
 }
 
+fn shard_unavailable(s: usize, e: &ClientError) -> String {
+    err_response("shard-unavailable", None, &format!("shard {s}: {e}"))
+}
+
 fn num_field(pairs: &[(String, JsonValue)], key: &str) -> Result<f64, String> {
     json::get(pairs, key)
         .and_then(JsonValue::as_f64)
@@ -291,17 +253,11 @@ fn ids_json(ids: &[usize]) -> String {
 /// Asks a shard's engine for its `layout` — one `(fenced, import-key)`
 /// pair per local domain, in index order. Errors are plain messages
 /// (callers wrap them into the response shape they need).
-fn probe_layout(shard: &Shard) -> Result<Vec<(bool, Option<String>)>, String> {
+fn probe_layout(shard: &mut Shard) -> Result<Vec<(bool, Option<String>)>, String> {
     let name = &shard.name;
-    let gone = || format!("shard {name:?}: worker gone");
-    shard
-        .tx
-        .send("{\"op\":\"layout\"}".to_string())
-        .map_err(|_| gone())?;
     let resp = shard
-        .rx
-        .recv()
-        .map_err(|_| gone())?
+        .primary
+        .request("{\"op\":\"layout\"}")
         .map_err(|e| format!("shard {name:?} layout probe failed: {e}"))?;
     let rp = json::parse_object(&resp)
         .map_err(|e| format!("bad layout response from shard {name:?}: {e}"))?;
@@ -328,17 +284,11 @@ fn probe_layout(shard: &Shard) -> Result<Vec<(bool, Option<String>)>, String> {
 /// `(id, local domain)` (`None` for an unpinned standing rejection) and
 /// the ids it has burned as departed.
 #[allow(clippy::type_complexity)]
-fn probe_present(shard: &Shard) -> Result<(Vec<(usize, Option<usize>)>, Vec<usize>), String> {
+fn probe_present(shard: &mut Shard) -> Result<(Vec<(usize, Option<usize>)>, Vec<usize>), String> {
     let name = &shard.name;
-    let gone = || format!("shard {name:?}: worker gone");
-    shard
-        .tx
-        .send("{\"op\":\"present\"}".to_string())
-        .map_err(|_| gone())?;
     let resp = shard
-        .rx
-        .recv()
-        .map_err(|_| gone())?
+        .primary
+        .request("{\"op\":\"present\"}")
         .map_err(|e| format!("shard {name:?} presence probe failed: {e}"))?;
     let rp = json::parse_object(&resp)
         .map_err(|e| format!("bad presence response from shard {name:?}: {e}"))?;
@@ -544,9 +494,9 @@ impl Router {
         }
         let mut shards = Vec::with_capacity(endpoints.len());
         for (s, spec) in endpoints.iter().enumerate() {
-            let mut shard = connect_shard(s, &map.members()[s], spec, client);
+            let mut shard = connect_shard(&map.members()[s], spec, client);
             if reconcile {
-                let layout = probe_layout(&shard).map_err(RouterError::Config)?;
+                let layout = probe_layout(&mut shard).map_err(RouterError::Config)?;
                 shard.slots =
                     slots_from_layout(&shard.name, &layout, &birth_domains(&map, &shard.name))
                         .map_err(RouterError::Config)?;
@@ -566,7 +516,7 @@ impl Router {
             // just-reconciled slot tables; a task on a fenced slot is
             // mid-migration and maps to the same global domain its live
             // holder will report.
-            for shard in &shards {
+            for shard in &mut shards {
                 let (tasks, burned) = probe_present(shard).map_err(RouterError::Config)?;
                 for (id, pin) in tasks {
                     let Some(local) = pin else { continue };
@@ -777,9 +727,10 @@ impl Router {
             // (or parked live on a non-owner) an interrupted reshard
             // left it mid-migration: structured and retryable —
             // re-issuing the reshard rolls the transfer forward.
-            let mid_migration = self.shards.iter().any(|sh| {
-                sh.slots.contains(&Slot::Fenced(g)) || sh.slots.contains(&Slot::Live(g))
-            });
+            let mid_migration = self
+                .shards
+                .iter()
+                .any(|sh| sh.slots.contains(&Slot::Fenced(g)) || sh.slots.contains(&Slot::Live(g)));
             let (kind, msg) = if mid_migration {
                 (
                     "domain-fenced",
@@ -789,7 +740,10 @@ impl Router {
                     ),
                 )
             } else {
-                ("shard-unavailable", format!("shard {s} does not hold domain {g}"))
+                (
+                    "shard-unavailable",
+                    format!("shard {s} does not hold domain {g}"),
+                )
             };
             return Err(err_response(kind, Some(id), &msg));
         };
@@ -888,29 +842,28 @@ impl Router {
         let at = num_field(pairs, "at").map_err(proto)?;
         self.check_clock(at)?;
         let downstream = format!("{{\"op\":\"tick\",\"at\":{at},\"dlog\":true}}");
-        // Scatter to every worker first, then gather in shard-index
-        // order: all shards tick (and re-solve) concurrently.
-        for (s, shard) in self.shards.iter().enumerate() {
-            shard.tx.send(downstream.clone()).map_err(|_| {
-                err_response(
-                    "shard-unavailable",
-                    None,
-                    &format!("shard {s}: worker gone"),
-                )
-            })?;
-        }
-        let responses: Vec<Result<String, String>> = self
+        // Write to every shard first, then read back in shard-index
+        // order: the shards are separate processes, so they all tick (and
+        // re-solve) concurrently. A shard whose send or receive fails is
+        // asked again through the retrying path (an at-least-once resend).
+        // Every reply is read before any is acted on, so an error return
+        // never leaves a reply unread on a connection.
+        let sent: Vec<bool> = self
             .shards
-            .iter()
+            .iter_mut()
+            .map(|shard| shard.primary.send(&downstream).is_ok())
+            .collect();
+        let responses: Vec<Result<String, String>> = sent
+            .into_iter()
             .enumerate()
-            .map(|(s, shard)| {
-                shard.rx.recv().unwrap_or_else(|_| {
-                    Err(err_response(
-                        "shard-unavailable",
-                        None,
-                        &format!("shard {s}: worker gone"),
-                    ))
-                })
+            .map(|(s, sent)| {
+                let primary = &mut self.shards[s].primary;
+                match sent.then(|| primary.recv()) {
+                    Some(Ok(resp)) => Ok(resp),
+                    _ => primary
+                        .request(&downstream)
+                        .map_err(|e| shard_unavailable(s, &e)),
+                }
             })
             .collect();
         let mut merged: Vec<(usize, String)> = Vec::new();
@@ -1109,13 +1062,11 @@ impl Router {
             let spec = spec.as_ref().expect("add always carries a spec");
             match self.shards.iter().position(|sh| sh.name == name) {
                 Some(pos) if self.shards[pos].spec != *spec => {
-                    let mut stale = connect_shard(pos, &name, spec, &self.client);
-                    std::mem::swap(&mut stale, &mut self.shards[pos]);
-                    wind_down(&mut stale);
+                    self.shards[pos] = connect_shard(&name, spec, &self.client);
                 }
                 Some(_) => {}
                 None => {
-                    let shard = connect_shard(self.shards.len(), &name, spec, &self.client);
+                    let shard = connect_shard(&name, spec, &self.client);
                     self.shards.push(shard);
                     self.metrics.per_shard_routed.push(0);
                 }
@@ -1191,9 +1142,7 @@ impl Router {
                 let src = self
                     .shards
                     .iter()
-                    .position(|sh| {
-                        &sh.name == map_owner && sh.slots.contains(&Slot::Fenced(g))
-                    })
+                    .position(|sh| &sh.name == map_owner && sh.slots.contains(&Slot::Fenced(g)))
                     .or_else(|| {
                         self.shards
                             .iter()
@@ -1268,21 +1217,15 @@ impl Router {
         ))
     }
 
-    /// Sends a write to shard `s`'s primary (through its worker). Writes
-    /// never fall back to a replica: a follower refuses them
-    /// (`not-primary`), and silently retrying elsewhere would fork the
-    /// shard's history.
+    /// Sends a write to shard `s`'s primary, retrying across connection
+    /// failures. Writes never fall back to a replica: a follower refuses
+    /// them (`not-primary`), and silently retrying elsewhere would fork
+    /// the shard's history.
     fn shard_write(&mut self, s: usize, line: &str) -> Result<String, String> {
-        let gone = || {
-            err_response(
-                "shard-unavailable",
-                None,
-                &format!("shard {s}: worker gone"),
-            )
-        };
-        let shard = &self.shards[s];
-        shard.tx.send(line.to_string()).map_err(|_| gone())?;
-        shard.rx.recv().map_err(|_| gone())?
+        self.shards[s]
+            .primary
+            .request(line)
+            .map_err(|e| shard_unavailable(s, &e))
     }
 
     /// Sends a read to shard `s`, hedging to the replica when the primary
@@ -1349,7 +1292,12 @@ impl Router {
                     })?;
                 out.push((g, format!("{}{g}", &line[..=pos])));
             } else {
-                let first = slots.iter().copied().filter_map(Slot::live).next().unwrap_or(0);
+                let first = slots
+                    .iter()
+                    .copied()
+                    .filter_map(Slot::live)
+                    .next()
+                    .unwrap_or(0);
                 out.push((first, line.to_string()));
             }
         }
@@ -1375,17 +1323,6 @@ impl Router {
             text.push('\n');
         }
         format!(",\"dlog\":\"{}\"", json::escape(&text))
-    }
-}
-
-impl Drop for Router {
-    /// Winds the worker fleet down: closing a request channel ends its
-    /// worker's loop, which drops the primary connection (so shard
-    /// server sessions see EOF), and the join bounds the cleanup.
-    fn drop(&mut self) {
-        for mut shard in self.shards.drain(..) {
-            wind_down(&mut shard);
-        }
     }
 }
 
