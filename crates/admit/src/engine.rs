@@ -61,6 +61,7 @@
 //! metrics registry varies between runs.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
@@ -80,6 +81,10 @@ use crate::AdmitError;
 /// (a zero-cycle, zero-penalty task that pins oracle and re-solve
 /// instances to the configured horizon). Arrivals may not use it.
 pub const RESERVED_ANCHOR_ID: usize = usize::MAX;
+
+/// First line of every engine snapshot. Restores refuse any other
+/// header, including the older `v1`/`v2` formats.
+const SNAPSHOT_HEADER: &str = "dvs-admit-snapshot v3";
 
 /// Tolerance below which a re-solve improvement is treated as a tie (no
 /// shedding on numerical noise).
@@ -357,6 +362,38 @@ impl std::fmt::Display for Decision {
     }
 }
 
+impl Decision {
+    /// Appends the decision's record, `<at:bits> <task> <A|R|S|M>
+    /// <domain|->` — the journal's `O` payload and a snapshot's `x` line.
+    pub(crate) fn encode(&self, s: &mut String) {
+        let (code, domain) = match self.verdict {
+            Verdict::Accepted { domain } => ('A', Some(domain)),
+            Verdict::Rejected => ('R', None),
+            Verdict::Shed { domain } => ('S', Some(domain)),
+            Verdict::Readmitted { domain } => ('M', Some(domain)),
+        };
+        let _ = write!(s, "{:016x} {} {code}", self.at.to_bits(), self.task.index());
+        write_opt(s, domain);
+    }
+
+    /// Decodes a record written by [`Decision::encode`].
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, CodecError> {
+        let at = cur.bits("decision time")?;
+        let task = TaskId::new(cur.int("decision task")?);
+        let code = cur.next("verdict code")?;
+        let verdict = match (code, cur.opt(|c| c.int("decision domain"))?) {
+            ("A", Some(domain)) => Verdict::Accepted { domain },
+            ("R", None) => Verdict::Rejected,
+            ("S", Some(domain)) => Verdict::Shed { domain },
+            ("M", Some(domain)) => Verdict::Readmitted { domain },
+            (code, domain) => {
+                return Err(cur.err(format!("bad verdict {code:?} on domain {domain:?}")))
+            }
+        };
+        Ok(Decision { at, task, verdict })
+    }
+}
+
 /// One power domain's ledger.
 #[derive(Debug)]
 struct Domain {
@@ -384,17 +421,132 @@ struct Domain {
     /// reach the same conclusion it just reached ("keep the current
     /// serving choice"), so the engine skips it entirely.
     needs_resolve: bool,
-    /// The domain was exported to another shard (live resharding): its
-    /// ledgers are empty, it accepts no further work, and it contributes
-    /// nothing to the energy integral (the importing shard owns it now).
-    fenced: bool,
-    /// The migration payload this domain was exported as, kept so a
-    /// retried export (router crash between export and import) returns
-    /// byte-identical bytes instead of re-encoding an empty domain.
+    /// The migration payload this domain was exported as. `Some` means the
+    /// domain is *fenced*: it was exported to another shard (live
+    /// resharding), its ledgers are empty, it accepts no further work, and
+    /// it contributes nothing to the energy integral (the importing shard
+    /// owns it now). The payload is kept so a retried export (router crash
+    /// between export and import) returns byte-identical bytes instead of
+    /// re-encoding an empty domain.
     export_payload: Option<String>,
 }
 
 impl Domain {
+    /// An empty, unfenced domain on `cpu`, priced over a `horizon`-tick
+    /// billing horizon.
+    fn new(cpu: Processor, horizon: u64) -> Result<Self, AdmitError> {
+        let anchor = Task::new(RESERVED_ANCHOR_ID, 0.0, horizon)?;
+        let oracle = Instance::new(TaskSet::try_from_tasks([anchor])?, cpu.clone())?;
+        Ok(Domain {
+            cpu,
+            oracle,
+            active: Vec::new(),
+            reserved: Vec::new(),
+            committed: 0.0,
+            resolve_cache: None,
+            union_dirty: true,
+            needs_resolve: false,
+            export_payload: None,
+        })
+    }
+
+    /// Whether the domain was exported and is fenced against further work.
+    fn fenced(&self) -> bool {
+        self.export_payload.is_some()
+    }
+
+    /// Clears the ledgers and fences the domain under the payload it was
+    /// exported as.
+    fn fence(&mut self, payload: String) {
+        self.active.clear();
+        self.reserved.clear();
+        self.recompute_committed();
+        self.resolve_cache = None;
+        self.union_dirty = true;
+        self.needs_resolve = false;
+        self.export_payload = Some(payload);
+    }
+
+    /// Appends the domain record — the one encoding of a domain's state,
+    /// shared by snapshots and migration payloads:
+    ///
+    /// ```text
+    /// cpu <k> <k spec tokens> needs <0|1> active <n> <task>… reserved <n> <task>…
+    /// task = <id> <wcec:bits> <period> <deadline|-> <penalty:bits> <pinned 0|1>
+    /// ```
+    ///
+    /// Floats are raw `f64` bits (hex), so the decoding engine prices
+    /// bit-identically. A ledger task is either unpinned or pinned to the
+    /// domain holding it (`arrive` and `import_domain` keep that true), so
+    /// a flag records the pin.
+    fn encode_record(&self, s: &mut String) {
+        let cpu_spec = self.cpu.encode_spec();
+        let _ = write!(
+            s,
+            "cpu {} {cpu_spec} needs {}",
+            cpu_spec.split_ascii_whitespace().count(),
+            u8::from(self.needs_resolve)
+        );
+        for (tag, ledger) in [("active", &self.active), ("reserved", &self.reserved)] {
+            let _ = write!(s, " {tag} {}", ledger.len());
+            for t in ledger {
+                let _ = write!(
+                    s,
+                    " {} {:016x} {}",
+                    t.id().index(),
+                    t.wcec().to_bits(),
+                    t.period()
+                );
+                write_opt(s, (!t.is_implicit_deadline()).then_some(t.deadline()));
+                let pinned = u8::from(t.domain().is_some());
+                let _ = write!(s, " {:016x} {pinned}", t.penalty().to_bits());
+            }
+        }
+    }
+
+    /// Decodes a record written by [`Domain::encode_record`] into a fresh
+    /// domain at index `index`: pinned tasks are pinned to `index`.
+    fn decode_record(
+        cur: &mut Cursor<'_>,
+        index: usize,
+        horizon: u64,
+    ) -> Result<Domain, CodecError> {
+        cur.tag("cpu")?;
+        let mut spec = Vec::new();
+        for _ in 0..cur.int::<usize>("cpu token count")? {
+            spec.push(cur.next("cpu spec token")?);
+        }
+        let cpu = Processor::decode_spec(&spec.join(" "))
+            .map_err(|e| cur.err(format!("cpu spec: {e}")))?;
+        let mut d = Domain::new(cpu, horizon).map_err(|e| cur.err(e.to_string()))?;
+        cur.tag("needs")?;
+        d.needs_resolve = cur.flag("needs")?;
+        for (tag, ledger) in [("active", &mut d.active), ("reserved", &mut d.reserved)] {
+            for _ in 0..cur.count(tag)? {
+                let id: usize = cur.int("task id")?;
+                let wcec = cur.bits("wcec")?;
+                let period = cur.int("period")?;
+                let deadline = cur.opt(|c| c.int("deadline"))?;
+                let penalty = cur.penalty()?;
+                let pinned = cur.flag("pinned")?;
+                let bad = |e: rt_model::ModelError| cur.err(format!("task {id}: {e}"));
+                let mut task = Task::new(id, wcec, period)
+                    .map_err(bad)?
+                    .with_penalty(penalty);
+                if let Some(deadline) = deadline {
+                    task = task.with_deadline(deadline).map_err(bad)?;
+                }
+                ledger.push(if pinned {
+                    task.with_domain(index)
+                } else {
+                    task
+                });
+            }
+        }
+        d.recompute_committed();
+        Ok(d)
+    }
+
     fn recompute_committed(&mut self) {
         // `Sum<f64>`'s identity is -0.0; `+ 0.0` keeps the empty ledger
         // printing as plain 0 on the wire.
@@ -486,23 +638,10 @@ impl AdmissionEngine {
         policy: Box<dyn EnginePolicy>,
         config: EngineConfig,
     ) -> Result<Self, AdmitError> {
-        let mut domains = Vec::with_capacity(cpus.len());
-        for cpu in cpus {
-            let anchor = Task::new(RESERVED_ANCHOR_ID, 0.0, config.horizon)?;
-            let oracle = Instance::new(TaskSet::try_from_tasks([anchor])?, cpu.clone())?;
-            domains.push(Domain {
-                cpu,
-                oracle,
-                active: Vec::new(),
-                reserved: Vec::new(),
-                committed: 0.0,
-                resolve_cache: None,
-                union_dirty: true,
-                needs_resolve: false,
-                fenced: false,
-                export_payload: None,
-            });
-        }
+        let domains = cpus
+            .into_iter()
+            .map(|cpu| Domain::new(cpu, config.horizon))
+            .collect::<Result<_, _>>()?;
         Ok(AdmissionEngine {
             domains,
             policy,
@@ -620,7 +759,7 @@ impl AdmissionEngine {
             // shard integrates their energy now, and counting an
             // always-on processor's idle power twice would break the
             // cluster-vs-single-engine cost identity.
-            for d in self.domains.iter().filter(|d| !d.fenced) {
+            for d in self.domains.iter().filter(|d| !d.fenced()) {
                 rate += d.cpu.energy_rate(d.committed).map_err(SchedError::Power)?;
             }
             self.metrics.energy += rate * dt;
@@ -727,7 +866,7 @@ impl AdmissionEngine {
                             domains: self.domains.len(),
                         });
                     }
-                    if self.domains[domain].fenced {
+                    if self.domains[domain].fenced() {
                         return Err(AdmitError::DomainFenced { task: id, domain });
                     }
                 }
@@ -813,7 +952,7 @@ impl AdmissionEngine {
             }
             None => {
                 for (i, d) in self.domains.iter().enumerate() {
-                    if d.fenced {
+                    if d.fenced() {
                         continue;
                     }
                     if d.cpu.is_feasible(d.priced() + task.utilization()) {
@@ -1281,13 +1420,13 @@ impl AdmissionEngine {
     /// Panics if `d` is out of range.
     #[must_use]
     pub fn domain_is_fenced(&self, d: usize) -> bool {
-        self.domains[d].fenced
+        self.domains[d].fenced()
     }
 
     /// Number of fenced (exported) domains.
     #[must_use]
     pub fn fenced_count(&self) -> usize {
-        self.domains.iter().filter(|d| d.fenced).count()
+        self.domains.iter().filter(|d| d.fenced()).count()
     }
 
     /// The engine's domain layout, one entry per local domain in index
@@ -1310,7 +1449,7 @@ impl AdmissionEngine {
         self.domains
             .iter()
             .zip(keys)
-            .map(|(d, key)| (d.fenced, key))
+            .map(|(d, key)| (d.fenced(), key))
             .collect()
     }
 
@@ -1370,24 +1509,14 @@ impl AdmissionEngine {
                 reason: format!("export of domain {local}, engine has {n}"),
             });
         };
-        if d.fenced {
-            return d
-                .export_payload
-                .clone()
-                .ok_or_else(|| AdmitError::Migration {
-                    reason: format!("domain {local} is fenced but holds no export payload"),
-                });
+        if let Some(payload) = &d.export_payload {
+            return Ok(payload.clone());
         }
         let payload = self.encode_export(local);
-        let d = &self.domains[local];
         let n_active = d.active.len() as u64;
-        let n_reserved = d.reserved.len() as u64;
-        let reserved_ids: BTreeSet<TaskId> = d.reserved.iter().map(Task::id).collect();
-        let n_rejected = self
-            .unserved
-            .iter()
-            .filter(|(id, _, pin)| *pin == Some(local) && !reserved_ids.contains(id))
-            .count() as u64;
+        let reserved: Vec<TaskId> = d.reserved.iter().map(Task::id).collect();
+        let n_reserved = reserved.len() as u64;
+        let n_rejected = self.standing_rejected(local).count() as u64;
         // Move the domain's counter shares out: one arrival per present
         // task, one admission per served-or-reserved task, one standing
         // shed unit per reserved task, one rejection per standing-rejected
@@ -1400,16 +1529,12 @@ impl AdmissionEngine {
         m.admitted -= n_active + n_reserved;
         m.shed -= n_reserved;
         m.rejected -= n_rejected;
-        let d = &mut self.domains[local];
-        d.active.clear();
-        d.reserved.clear();
-        d.recompute_committed();
-        d.resolve_cache = None;
-        d.union_dirty = true;
-        d.needs_resolve = false;
-        d.fenced = true;
-        d.export_payload = Some(payload.clone());
-        self.unserved.retain(|(_, _, pin)| *pin != Some(local));
+        self.domains[local].fence(payload.clone());
+        // The domain's unserved tasks leave with it: its standing
+        // rejections, and its reserved tasks even when they arrived
+        // unpinned (their unserved entries then carry no pin).
+        self.unserved
+            .retain(|(id, _, pin)| *pin != Some(local) && !reserved.contains(id));
         if let Some(j) = self.journal.as_mut() {
             j.append_export(local, &payload);
             j.sync()
@@ -1431,9 +1556,14 @@ impl AdmissionEngine {
     /// returns — the router flips routing on this acknowledgement, so the
     /// imported state must survive a crash of the target.
     ///
+    /// The payload is validated before any state changes: a task id that
+    /// is already present or departed here, repeated within the payload,
+    /// or the reserved anchor id refuses the import.
+    ///
     /// # Errors
     ///
-    /// * [`AdmitError::Migration`] for a malformed key or payload.
+    /// * [`AdmitError::Migration`] for a malformed key or payload, or a
+    ///   payload task id that would collide.
     /// * [`AdmitError::Journal`] on I/O failure.
     pub fn import_domain(&mut self, key: &str, payload: &str) -> Result<usize, AdmitError> {
         if key.is_empty() || key.contains(char::is_whitespace) {
@@ -1444,55 +1574,49 @@ impl AdmissionEngine {
         if let Some(&local) = self.imported.get(key) {
             return Ok(local);
         }
-        let exported = Self::decode_export(payload)?;
         let local = self.domains.len();
-        let anchor = Task::new(RESERVED_ANCHOR_ID, 0.0, self.config.horizon)?;
-        let oracle = Instance::new(TaskSet::try_from_tasks([anchor])?, exported.cpu.clone())?;
-        let active: Vec<Task> = exported
-            .active
-            .iter()
-            .map(|t| t.with_domain(local))
-            .collect();
-        let reserved: Vec<Task> = exported
-            .reserved
-            .iter()
-            .map(|t| t.with_domain(local))
-            .collect();
-        let n_active = active.len() as u64;
-        let n_reserved = reserved.len() as u64;
-        let n_rejected = exported.rejected.len() as u64;
+        let (clock, tsr, domain, rejected) =
+            Self::decode_export(payload, local, self.config.horizon)?;
+        let ids = domain.active.iter().chain(&domain.reserved).map(Task::id);
+        let mut seen = BTreeSet::new();
+        for id in ids.chain(rejected.iter().map(|&(id, _)| id)) {
+            let clash = if id.index() == RESERVED_ANCHOR_ID {
+                "is the reserved anchor id"
+            } else if !seen.insert(id) {
+                "is repeated in the payload"
+            } else if self.departed.contains(&id) {
+                "has already departed here"
+            } else if self.is_present(id) {
+                "is already present here"
+            } else {
+                continue;
+            };
+            return Err(AdmitError::Migration {
+                reason: format!("payload task {id} {clash}"),
+            });
+        }
+        let n_active = domain.active.len() as u64;
+        let n_reserved = domain.reserved.len() as u64;
+        let n_rejected = rejected.len() as u64;
         // Reserved tasks re-enter the unserved ledger (they accrue penalty
         // and hold their reservation), then the standing-rejected ones.
         // The source's chronological interleaving is not preserved — the
         // order only affects float summation of penalty accrual, never a
         // decision.
-        for t in &reserved {
-            self.unserved.push((t.id(), t.penalty(), Some(local)));
+        for t in &domain.reserved {
+            self.unserved.push((t.id(), t.penalty(), t.domain()));
         }
-        for &(id, penalty) in &exported.rejected {
+        for (id, penalty) in rejected {
             self.unserved.push((id, penalty, Some(local)));
         }
-        let mut domain = Domain {
-            cpu: exported.cpu,
-            oracle,
-            active,
-            reserved,
-            committed: 0.0,
-            resolve_cache: None,
-            union_dirty: true,
-            needs_resolve: exported.needs_resolve,
-            fenced: false,
-            export_payload: None,
-        };
-        domain.recompute_committed();
         self.domains.push(domain);
         let m = &mut self.metrics;
         m.arrivals += n_active + n_reserved + n_rejected;
         m.admitted += n_active + n_reserved;
         m.shed += n_reserved;
         m.rejected += n_rejected;
-        self.clock = self.clock.max(exported.clock);
-        self.ticks_since_resolve = self.ticks_since_resolve.max(exported.ticks_since_resolve);
+        self.clock = self.clock.max(clock);
+        self.ticks_since_resolve = self.ticks_since_resolve.max(tsr);
         self.imported.insert(key.to_string(), local);
         if let Some(j) = self.journal.as_mut() {
             j.append_import(key, payload);
@@ -1503,51 +1627,29 @@ impl AdmissionEngine {
         Ok(local)
     }
 
-    /// Encodes domain `local`'s migration payload: one line of
-    /// space-separated tokens, floats as raw `f64` bits (hex), so the
-    /// importing engine reconstructs bit-identical pricing state.
-    fn encode_export(&self, local: usize) -> String {
-        use std::fmt::Write as _;
-        let d = &self.domains[local];
-        let mut s = String::from("xp1");
-        let cpu_spec = d.cpu.encode_spec();
-        let _ = write!(
-            s,
-            " cpu {} {cpu_spec}",
-            cpu_spec.split_ascii_whitespace().count()
-        );
-        let _ = write!(
-            s,
-            " clock {:016x} tsr {} needs {}",
-            self.clock.to_bits(),
-            self.ticks_since_resolve,
-            u8::from(d.needs_resolve)
-        );
-        for (tag, ledger) in [("active", &d.active), ("reserved", &d.reserved)] {
-            let _ = write!(s, " {tag} {}", ledger.len());
-            for t in ledger {
-                let deadline = if t.is_implicit_deadline() {
-                    "-".to_string()
-                } else {
-                    t.deadline().to_string()
-                };
-                let _ = write!(
-                    s,
-                    " {} {:016x} {} {deadline} {:016x}",
-                    t.id().index(),
-                    t.wcec().to_bits(),
-                    t.period(),
-                    t.penalty().to_bits()
-                );
-            }
-        }
-        let reserved_ids: BTreeSet<TaskId> = d.reserved.iter().map(Task::id).collect();
-        let rejected: Vec<(TaskId, f64)> = self
-            .unserved
+    /// The standing rejections pinned to domain `local`: its unserved
+    /// tasks that hold no reservation there.
+    fn standing_rejected(&self, local: usize) -> impl Iterator<Item = (TaskId, f64)> + '_ {
+        let reserved = &self.domains[local].reserved;
+        self.unserved
             .iter()
-            .filter(|(id, _, pin)| *pin == Some(local) && !reserved_ids.contains(id))
+            .filter(move |(id, _, pin)| {
+                *pin == Some(local) && !reserved.iter().any(|t| t.id() == *id)
+            })
             .map(|&(id, penalty, _)| (id, penalty))
-            .collect();
+    }
+
+    /// Encodes domain `local`'s migration payload, one line:
+    /// `xp1 clock <bits> tsr <n> <domain record> rej <n> (<id> <penalty
+    /// bits>)… end` (see [`Domain::encode_record`]).
+    fn encode_export(&self, local: usize) -> String {
+        let mut s = format!(
+            "xp1 clock {:016x} tsr {} ",
+            self.clock.to_bits(),
+            self.ticks_since_resolve
+        );
+        self.domains[local].encode_record(&mut s);
+        let rejected: Vec<(TaskId, f64)> = self.standing_rejected(local).collect();
         let _ = write!(s, " rej {}", rejected.len());
         for (id, penalty) in rejected {
             let _ = write!(s, " {} {:016x}", id.index(), penalty.to_bits());
@@ -1556,126 +1658,53 @@ impl AdmissionEngine {
         s
     }
 
-    /// Decodes a migration payload produced by
-    /// [`AdmissionEngine::encode_export`]. Tasks come back *unpinned*;
-    /// the importer re-pins them to the new local index.
-    fn decode_export(payload: &str) -> Result<ExportedDomain, AdmitError> {
-        let mut tokens = payload.split_ascii_whitespace();
-        xp_expect(&mut tokens, "xp1")?;
-        xp_expect(&mut tokens, "cpu")?;
-        let k = xp_usize(&mut tokens, "cpu token count")?;
-        let mut spec = String::new();
-        for i in 0..k {
-            if i > 0 {
-                spec.push(' ');
-            }
-            spec.push_str(xp_next(&mut tokens, "cpu spec token")?);
+    /// Decodes a migration payload written by
+    /// [`AdmissionEngine::encode_export`] as local domain `index`.
+    fn decode_export(payload: &str, index: usize, horizon: u64) -> Result<Exported, CodecError> {
+        let mut cur = Cursor::new(payload);
+        cur.begin("xp1")?;
+        cur.tag("clock")?;
+        let clock = cur.bits("clock")?;
+        cur.tag("tsr")?;
+        let tsr = cur.int("tsr")?;
+        let domain = Domain::decode_record(&mut cur, index, horizon)?;
+        let mut rejected = Vec::new();
+        for _ in 0..cur.count("rej")? {
+            rejected.push((TaskId::new(cur.int("rejected id")?), cur.penalty()?));
         }
-        let cpu = Processor::decode_spec(&spec).map_err(|e| AdmitError::Migration {
-            reason: format!("cpu spec: {e}"),
-        })?;
-        xp_expect(&mut tokens, "clock")?;
-        let clock = Self::export_bits(xp_next(&mut tokens, "clock bits")?)?;
-        xp_expect(&mut tokens, "tsr")?;
-        let ticks_since_resolve = xp_u64(&mut tokens, "tsr")?;
-        xp_expect(&mut tokens, "needs")?;
-        let needs_resolve = match xp_next(&mut tokens, "needs flag")? {
-            "0" => false,
-            "1" => true,
-            other => {
-                return Err(AdmitError::Migration {
-                    reason: format!("bad needs flag {other:?}"),
-                })
-            }
-        };
-        let mut ledgers: [Vec<Task>; 2] = [Vec::new(), Vec::new()];
-        for (tag, ledger) in ["active", "reserved"].into_iter().zip(&mut ledgers) {
-            xp_expect(&mut tokens, tag)?;
-            let n = xp_usize(&mut tokens, "ledger length")?;
-            for _ in 0..n {
-                let id = xp_usize(&mut tokens, "task id")?;
-                let wcec = Self::export_bits(xp_next(&mut tokens, "wcec bits")?)?;
-                let period = xp_u64(&mut tokens, "period")?;
-                let deadline = xp_next(&mut tokens, "deadline")?;
-                let penalty = Self::export_bits(xp_next(&mut tokens, "penalty bits")?)?;
-                let mut task = Task::new(id, wcec, period)
-                    .map_err(|e| AdmitError::Migration {
-                        reason: format!("task {id}: {e}"),
-                    })?
-                    .with_penalty(penalty);
-                if deadline != "-" {
-                    let deadline: u64 = deadline.parse().map_err(|_| AdmitError::Migration {
-                        reason: format!("unparseable deadline {deadline:?}"),
-                    })?;
-                    task = task
-                        .with_deadline(deadline)
-                        .map_err(|e| AdmitError::Migration {
-                            reason: format!("task {id}: {e}"),
-                        })?;
-                }
-                ledger.push(task);
-            }
-        }
-        let [active, reserved] = ledgers;
-        xp_expect(&mut tokens, "rej")?;
-        let n = xp_usize(&mut tokens, "rejected length")?;
-        let mut rejected = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = xp_usize(&mut tokens, "rejected id")?;
-            let penalty = Self::export_bits(xp_next(&mut tokens, "rejected penalty bits")?)?;
-            rejected.push((TaskId::new(id), penalty));
-        }
-        xp_expect(&mut tokens, "end")?;
-        if let Some(extra) = tokens.next() {
-            return Err(AdmitError::Migration {
-                reason: format!("trailing token {extra:?} after payload"),
-            });
-        }
-        Ok(ExportedDomain {
-            cpu,
-            clock,
-            ticks_since_resolve,
-            needs_resolve,
-            active,
-            reserved,
-            rejected,
-        })
-    }
-
-    fn export_bits(tok: &str) -> Result<f64, AdmitError> {
-        u64::from_str_radix(tok, 16)
-            .map(f64::from_bits)
-            .map_err(|_| AdmitError::Migration {
-                reason: format!("unparseable f64 bits {tok:?}"),
-            })
+        cur.tag("end")?;
+        cur.done()?;
+        Ok((clock, tsr, domain, rejected))
     }
 
     /// Serializes the engine's complete deterministic state as the `S`
-    /// record payload: a line-oriented text block in which every float is
-    /// stored as raw `f64` bits (hex) or via Rust's shortest round-trip
-    /// `Display` — both parse back bit-identically, so an engine restored
-    /// from a snapshot continues producing the exact decision log of the
-    /// engine that wrote it. Caches (pricing memos, the re-solve instance)
-    /// are deliberately excluded: they are rebuilt on demand and memoized
-    /// pricing replays exact naive bits, so rebuilt caches cannot shift a
-    /// decision.
+    /// record payload: a header (policy, configuration, clock, counters,
+    /// costs), one line per domain — the same per-domain record a
+    /// migration payload carries, or `fenced <export payload>` for an
+    /// exported domain — then the unserved, departed, imported and
+    /// decision ledgers. Every float is stored as raw `f64` bits (hex), so
+    /// an engine restored from a snapshot continues producing the exact
+    /// decision log of the engine that wrote it. Caches (pricing memos,
+    /// the re-solve instance) are deliberately excluded: they are rebuilt
+    /// on demand and memoized pricing replays exact naive bits, so rebuilt
+    /// caches cannot shift a decision.
     #[must_use]
     pub fn encode_snapshot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("dvs-admit-snapshot v2\n");
-        let _ = writeln!(s, "policy {}", self.policy.name());
+        let mut s = format!("{SNAPSHOT_HEADER}\npolicy {}\n", self.policy.name());
         if let Some(state) = self.policy.snapshot_state() {
             let _ = writeln!(s, "pstate {state}");
         }
-        let regret = self
-            .config
-            .regret_threshold
-            .map_or_else(|| "-".to_string(), |r| format!("{:016x}", r.to_bits()));
+        let _ = write!(
+            s,
+            "config {} {}",
+            self.config.horizon,
+            self.config.resolve_every.unwrap_or(0)
+        );
+        let regret = self.config.regret_threshold.map(f64::to_bits);
+        write_opt(&mut s, regret.map(|bits| format!("{bits:016x}")));
         let _ = writeln!(
             s,
-            "config {} {} {regret} {} {}",
-            self.config.horizon,
-            self.config.resolve_every.unwrap_or(0),
+            " {} {}",
             self.config.resolve_budget,
             u8::from(self.config.warm_start)
         );
@@ -1683,9 +1712,8 @@ impl AdmissionEngine {
         let _ = writeln!(s, "tsr {}", self.ticks_since_resolve);
         let _ = writeln!(s, "epoch {}", self.epoch);
         let m = &self.metrics;
-        let _ = writeln!(
-            s,
-            "counters {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+        s.push_str("counters");
+        for c in [
             m.arrivals,
             m.admitted,
             m.rejected,
@@ -1702,83 +1730,35 @@ impl AdmissionEngine {
             m.snapshots_taken,
             m.recoveries,
             m.records_lost,
-            m.backpressure_sheds
-        );
+            m.backpressure_sheds,
+        ] {
+            let _ = write!(s, " {c}");
+        }
         let _ = writeln!(
             s,
-            "costs {:016x} {:016x} {:016x}",
+            "\ncosts {:016x} {:016x} {:016x}",
             m.energy.to_bits(),
             m.penalty_accrued.to_bits(),
             m.penalty_charged.to_bits()
         );
         let _ = writeln!(s, "domains {}", self.domains.len());
         for d in &self.domains {
-            let _ = writeln!(
-                s,
-                "domain {} {} {} {}",
-                u8::from(d.needs_resolve),
-                d.active.len(),
-                d.reserved.len(),
-                u8::from(d.fenced)
-            );
-            // v2 embeds the processor spec, so a restoring engine can
-            // rebuild domains beyond the ones it was constructed with
-            // (the live-resharding import targets) and cross-check the
-            // rest bit-exactly.
-            let cpu_spec = d.cpu.encode_spec();
-            let _ = writeln!(
-                s,
-                "cpu {} {cpu_spec}",
-                cpu_spec.split_ascii_whitespace().count()
-            );
-            if let Some(payload) = &d.export_payload {
-                let _ = writeln!(s, "xport {payload}");
-            }
-            for (tag, ledger) in [('a', &d.active), ('r', &d.reserved)] {
-                for t in ledger {
-                    let deadline = if t.is_implicit_deadline() {
-                        "-".to_string()
-                    } else {
-                        t.deadline().to_string()
-                    };
-                    // The pin column is only present for pinned tasks so
-                    // snapshots of unpinned engines keep their original
-                    // byte format.
-                    match t.domain() {
-                        Some(pin) => {
-                            let _ = writeln!(
-                                s,
-                                "{tag} {} {} {} {deadline} {} {pin}",
-                                t.id().index(),
-                                t.wcec(),
-                                t.period(),
-                                t.penalty()
-                            );
-                        }
-                        None => {
-                            let _ = writeln!(
-                                s,
-                                "{tag} {} {} {} {deadline} {}",
-                                t.id().index(),
-                                t.wcec(),
-                                t.period(),
-                                t.penalty()
-                            );
-                        }
-                    }
+            match &d.export_payload {
+                Some(payload) => {
+                    let _ = writeln!(s, "fenced {payload}");
+                }
+                None => {
+                    s.push_str("domain ");
+                    d.encode_record(&mut s);
+                    s.push('\n');
                 }
             }
         }
         let _ = writeln!(s, "unserved {}", self.unserved.len());
         for (id, penalty, pin) in &self.unserved {
-            match pin {
-                Some(pin) => {
-                    let _ = writeln!(s, "u {} {:016x} {pin}", id.index(), penalty.to_bits());
-                }
-                None => {
-                    let _ = writeln!(s, "u {} {:016x}", id.index(), penalty.to_bits());
-                }
-            }
+            let _ = write!(s, "u {} {:016x}", id.index(), penalty.to_bits());
+            write_opt(&mut s, *pin);
+            s.push('\n');
         }
         let _ = writeln!(s, "departed {}", self.departed.len());
         for id in &self.departed {
@@ -1790,19 +1770,9 @@ impl AdmissionEngine {
         }
         let _ = writeln!(s, "decisions {}", self.decisions.len());
         for d in &self.decisions {
-            let (code, domain) = match d.verdict {
-                Verdict::Accepted { domain } => ('A', Some(domain)),
-                Verdict::Rejected => ('R', None),
-                Verdict::Shed { domain } => ('S', Some(domain)),
-                Verdict::Readmitted { domain } => ('M', Some(domain)),
-            };
-            let domain = domain.map_or_else(|| "-".to_string(), |x| x.to_string());
-            let _ = writeln!(
-                s,
-                "x {:016x} {} {code} {domain}",
-                d.at.to_bits(),
-                d.task.index()
-            );
+            s.push_str("x ");
+            d.encode(&mut s);
+            s.push('\n');
         }
         s.push_str("end\n");
         s
@@ -1810,267 +1780,166 @@ impl AdmissionEngine {
 
     /// Restores state captured by [`AdmissionEngine::encode_snapshot`]
     /// into this (freshly constructed) engine. The engine must have been
-    /// built with the same domains, policy, and configuration as the one
-    /// that wrote the snapshot — mismatches are errors, not silent
-    /// adoption of the snapshot's values.
+    /// built with the same policy and configuration as the one that wrote
+    /// the snapshot, and with a prefix of its domains — mismatches are
+    /// errors, not silent adoption of the snapshot's values. Domains
+    /// beyond the constructed ones (live-resharding import targets) are
+    /// rebuilt from their records. Only the current snapshot format is
+    /// read: an older header is refused.
     ///
     /// # Errors
     ///
     /// [`JournalError::Snapshot`] naming the offending line.
     pub fn restore_snapshot(&mut self, text: &str) -> Result<(), JournalError> {
-        let mut cur = SnapCursor::new(text);
-        let v2 = match cur.next()? {
-            "dvs-admit-snapshot v1" => false,
-            "dvs-admit-snapshot v2" => true,
-            other => return Err(cur.err(format!("bad snapshot header {other:?}"))),
-        };
-        let policy = cur.tagged("policy")?;
-        if policy != self.policy.name() {
-            return Err(cur.err(format!(
-                "snapshot was written by policy {policy:?}, engine runs {:?}",
-                self.policy.name()
-            )));
+        let mut cur = Cursor::new(text);
+        cur.line()?;
+        let header = cur.rest();
+        if header != SNAPSHOT_HEADER {
+            return Err(cur
+                .err(format!(
+                    "snapshot header {header:?} is not {SNAPSHOT_HEADER:?}; \
+                     older snapshot formats are not read"
+                ))
+                .into());
         }
-        let mut line = cur.next()?;
-        if let Some(state) = line.strip_prefix("pstate ") {
+        cur.begin("policy")?;
+        let policy = cur.next("policy name")?;
+        if policy != self.policy.name() {
+            return Err(cur
+                .err(format!(
+                    "snapshot was written by policy {policy:?}, engine runs {:?}",
+                    self.policy.name()
+                ))
+                .into());
+        }
+        cur.line()?;
+        if cur.peek() == Some("pstate") {
+            cur.tag("pstate")?;
+            let state = cur.rest();
             self.policy
                 .restore_state(state)
                 .map_err(|reason| cur.err(reason))?;
-            line = cur.next()?;
+            cur.line()?;
         }
-        let config = {
-            let cols = Self::cols_tagged(&cur, line, "config", 5)?;
-            EngineConfig {
-                horizon: cur.parse_u64(cols[0])?,
-                resolve_every: match cur.parse_u64(cols[1])? {
-                    0 => None,
-                    k => Some(k),
-                },
-                regret_threshold: if cols[2] == "-" {
-                    None
-                } else {
-                    Some(cur.parse_bits(cols[2])?)
-                },
-                resolve_budget: cur.parse_u64(cols[3])?,
-                warm_start: cols[4] == "1",
-            }
+        cur.tag("config")?;
+        let config = EngineConfig {
+            horizon: cur.int("horizon")?,
+            resolve_every: Some(cur.int("resolve cadence")?).filter(|&k| k != 0),
+            regret_threshold: cur.opt(|c| c.bits("regret threshold"))?,
+            resolve_budget: cur.int("resolve budget")?,
+            warm_start: cur.flag("warm start")?,
         };
         if config != self.config {
-            return Err(cur.err("snapshot engine configuration differs from this engine's"));
+            return Err(cur
+                .err("snapshot engine configuration differs from this engine's")
+                .into());
         }
-        let clock = cur.one_tagged("clock")?;
-        self.clock = cur.parse_bits(clock)?;
-        let tsr = cur.one_tagged("tsr")?;
-        self.ticks_since_resolve = cur.parse_u64(tsr)?;
-        {
-            let mut line = cur.next()?;
-            // Optional for compatibility with pre-replication snapshots.
-            if let Some(epoch) = line.strip_prefix("epoch ") {
-                self.epoch = cur.parse_u64(epoch)?;
-                line = cur.next()?;
-            }
-            let cols = Self::cols_tagged(&cur, line, "counters", 17)?;
-            let v: Vec<u64> = cols
-                .iter()
-                .map(|c| cur.parse_u64(c))
-                .collect::<Result<_, _>>()?;
-            let m = &mut self.metrics;
-            m.arrivals = v[0];
-            m.admitted = v[1];
-            m.rejected = v[2];
-            m.shed = v[3];
-            m.readmitted = v[4];
-            m.departures = v[5];
-            m.ticks = v[6];
-            m.resolves = v[7];
-            m.resolves_degraded = v[8];
-            m.resolves_skipped = v[9];
-            m.resolve_nodes = v[10];
-            m.events = v[11];
-            m.journal_records = v[12];
-            m.snapshots_taken = v[13];
-            m.recoveries = v[14];
-            m.records_lost = v[15];
-            m.backpressure_sheds = v[16];
+        cur.begin("clock")?;
+        self.clock = cur.bits("clock")?;
+        cur.begin("tsr")?;
+        self.ticks_since_resolve = cur.int("tsr")?;
+        cur.begin("epoch")?;
+        self.epoch = cur.int("epoch")?;
+        cur.begin("counters")?;
+        let m = &mut self.metrics;
+        for c in [
+            &mut m.arrivals,
+            &mut m.admitted,
+            &mut m.rejected,
+            &mut m.shed,
+            &mut m.readmitted,
+            &mut m.departures,
+            &mut m.ticks,
+            &mut m.resolves,
+            &mut m.resolves_degraded,
+            &mut m.resolves_skipped,
+            &mut m.resolve_nodes,
+            &mut m.events,
+            &mut m.journal_records,
+            &mut m.snapshots_taken,
+            &mut m.recoveries,
+            &mut m.records_lost,
+            &mut m.backpressure_sheds,
+        ] {
+            *c = cur.int("counter")?;
         }
-        {
-            let line = cur.next()?;
-            let cols = Self::cols_tagged(&cur, line, "costs", 3)?;
-            self.metrics.energy = cur.parse_bits(cols[0])?;
-            self.metrics.penalty_accrued = cur.parse_bits(cols[1])?;
-            self.metrics.penalty_charged = cur.parse_bits(cols[2])?;
+        cur.begin("costs")?;
+        m.energy = cur.bits("energy")?;
+        m.penalty_accrued = cur.bits("penalty accrued")?;
+        m.penalty_charged = cur.bits("penalty charged")?;
+        cur.begin("domains")?;
+        let n_domains: usize = cur.int("domain count")?;
+        if n_domains < self.domains.len() {
+            return Err(cur
+                .err(format!(
+                    "snapshot has {n_domains} domains, engine has {}",
+                    self.domains.len()
+                ))
+                .into());
         }
-        let n_domains = cur.one_tagged("domains")?;
-        let n_domains = cur.parse_u64(n_domains)? as usize;
-        // v1 snapshots require the exact engine shape. v2 snapshots may
-        // carry *more* domains than the engine was constructed with — the
-        // live-resharding import targets — and embed each domain's
-        // processor spec so the extras can be rebuilt (and the rest
-        // cross-checked) here.
-        if n_domains != self.domains.len() && (!v2 || n_domains < self.domains.len()) {
-            return Err(cur.err(format!(
-                "snapshot has {n_domains} domains, engine has {}",
-                self.domains.len()
-            )));
-        }
+        let horizon = self.config.horizon;
         for i in 0..n_domains {
-            let line = cur.next()?;
-            let cols = Self::cols_tagged(&cur, line, "domain", if v2 { 4 } else { 3 })?;
-            let needs_resolve = cols[0] == "1";
-            let n_active = cur.parse_u64(cols[1])? as usize;
-            let n_reserved = cur.parse_u64(cols[2])? as usize;
-            let fenced = v2 && cols[3] == "1";
-            let mut export_payload = None;
-            if v2 {
-                let line = cur.next()?;
-                let rest = line
-                    .strip_prefix("cpu ")
-                    .ok_or_else(|| cur.err(format!("expected a \"cpu\" line, found {line:?}")))?;
-                let (_count, spec) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| cur.err("\"cpu\" line missing its spec"))?;
-                let cpu = Processor::decode_spec(spec)
-                    .map_err(|e| cur.err(format!("domain {i} cpu spec: {e}")))?;
-                if i < self.domains.len() {
-                    if self.domains[i].cpu != cpu {
-                        return Err(cur.err(format!(
+            cur.line()?;
+            let domain = if cur.peek() == Some("fenced") {
+                cur.tag("fenced")?;
+                let payload = cur.rest();
+                let (.., mut d, _) = Self::decode_export(payload, i, horizon)
+                    .map_err(|e| cur.err(format!("fenced domain {i}: {}", e.reason)))?;
+                d.fence(payload.to_string());
+                d
+            } else {
+                cur.tag("domain")?;
+                Domain::decode_record(&mut cur, i, horizon)?
+            };
+            match self.domains.get_mut(i) {
+                Some(constructed) if constructed.cpu != domain.cpu => {
+                    return Err(cur
+                        .err(format!(
                             "snapshot domain {i} processor differs from this engine's"
-                        )));
-                    }
-                } else {
-                    let horizon = self.config.horizon;
-                    let domain = (move || -> Result<Domain, AdmitError> {
-                        let anchor = Task::new(RESERVED_ANCHOR_ID, 0.0, horizon)?;
-                        let oracle =
-                            Instance::new(TaskSet::try_from_tasks([anchor])?, cpu.clone())?;
-                        Ok(Domain {
-                            cpu,
-                            oracle,
-                            active: Vec::new(),
-                            reserved: Vec::new(),
-                            committed: 0.0,
-                            resolve_cache: None,
-                            union_dirty: true,
-                            needs_resolve: false,
-                            fenced: false,
-                            export_payload: None,
-                        })
-                    })()
-                    .map_err(|e| cur.err(e.to_string()))?;
-                    self.domains.push(domain);
+                        ))
+                        .into());
                 }
-                if fenced {
-                    let line = cur.next()?;
-                    let payload = line.strip_prefix("xport ").ok_or_else(|| {
-                        cur.err(format!("fenced domain {i} missing its \"xport\" line"))
-                    })?;
-                    export_payload = Some(payload.to_string());
-                }
+                Some(constructed) => *constructed = domain,
+                None => self.domains.push(domain),
             }
-            let mut active = Vec::with_capacity(n_active);
-            let mut reserved = Vec::with_capacity(n_reserved);
-            for (tag, n, ledger) in [
-                ('a', n_active, &mut active),
-                ('r', n_reserved, &mut reserved),
-            ] {
-                for _ in 0..n {
-                    let line = cur.next()?;
-                    ledger.push(cur.parse_task(line, tag)?);
-                }
-            }
-            let d = &mut self.domains[i];
-            d.active = active;
-            d.reserved = reserved;
-            d.recompute_committed();
-            // Caches are rebuilt lazily; memoized pricing replays exact
-            // naive bits, so this cannot shift a decision.
-            d.resolve_cache = None;
-            d.union_dirty = true;
-            d.needs_resolve = needs_resolve;
-            d.fenced = fenced;
-            d.export_payload = export_payload;
         }
-        let n_unserved = cur.one_tagged("unserved")?;
-        let n_unserved = cur.parse_u64(n_unserved)? as usize;
-        self.unserved = Vec::with_capacity(n_unserved);
-        for _ in 0..n_unserved {
-            let line = cur.next()?;
-            // 2 columns (id, penalty bits) pre-pinning; 3 with a pin.
-            let cols: Vec<&str> = line.split_whitespace().collect();
-            if cols.first() != Some(&"u") || !(cols.len() == 3 || cols.len() == 4) {
-                return Err(cur.err(format!("malformed \"u\" unserved line {line:?}")));
+        cur.begin("unserved")?;
+        self.unserved = Vec::new();
+        for _ in 0..cur.int::<usize>("unserved count")? {
+            cur.begin("u")?;
+            let id = TaskId::new(cur.int("task id")?);
+            let penalty = cur.penalty()?;
+            let pin = cur.opt(|c| c.int("pin"))?;
+            if pin.is_some_and(|p| p >= n_domains) {
+                return Err(cur
+                    .err(format!("task {id} pinned to a missing domain"))
+                    .into());
             }
-            let pin = match cols.get(3) {
-                Some(p) => Some(cur.parse_u64(p)? as usize),
-                None => None,
-            };
-            self.unserved.push((
-                TaskId::new(cur.parse_u64(cols[1])? as usize),
-                cur.parse_bits(cols[2])?,
-                pin,
-            ));
+            self.unserved.push((id, penalty, pin));
         }
-        let n_departed = cur.one_tagged("departed")?;
-        let n_departed = cur.parse_u64(n_departed)? as usize;
+        cur.begin("departed")?;
         self.departed = BTreeSet::new();
-        for _ in 0..n_departed {
-            let id = cur.one_tagged("d")?;
-            let id = cur.parse_u64(id)? as usize;
-            self.departed.insert(TaskId::new(id));
+        for _ in 0..cur.int::<usize>("departed count")? {
+            cur.begin("d")?;
+            self.departed.insert(TaskId::new(cur.int("task id")?));
         }
+        cur.begin("imported")?;
         self.imported = BTreeMap::new();
-        if v2 {
-            let n_imported = cur.one_tagged("imported")?;
-            let n_imported = cur.parse_u64(n_imported)? as usize;
-            for _ in 0..n_imported {
-                let line = cur.next()?;
-                let cols = Self::cols_tagged(&cur, line, "i", 2)?;
-                let local = cur.parse_u64(cols[1])? as usize;
-                self.imported.insert(cols[0].to_string(), local);
-            }
+        for _ in 0..cur.int::<usize>("imported count")? {
+            cur.begin("i")?;
+            let key = cur.next("import key")?;
+            self.imported
+                .insert(key.to_string(), cur.int("local index")?);
         }
-        let n_decisions = cur.one_tagged("decisions")?;
-        let n_decisions = cur.parse_u64(n_decisions)? as usize;
-        self.decisions = Vec::with_capacity(n_decisions);
-        for _ in 0..n_decisions {
-            let line = cur.next()?;
-            let cols = Self::cols_tagged(&cur, line, "x", 4)?;
-            let at = cur.parse_bits(cols[0])?;
-            let task = TaskId::new(cur.parse_u64(cols[1])? as usize);
-            let domain = || -> Result<usize, JournalError> { Ok(cur.parse_u64(cols[3])? as usize) };
-            let verdict = match cols[2] {
-                "A" => Verdict::Accepted { domain: domain()? },
-                "R" => Verdict::Rejected,
-                "S" => Verdict::Shed { domain: domain()? },
-                "M" => Verdict::Readmitted { domain: domain()? },
-                other => return Err(cur.err(format!("unknown verdict code {other:?}"))),
-            };
-            self.decisions.push(Decision { at, task, verdict });
+        cur.begin("decisions")?;
+        self.decisions = Vec::new();
+        for _ in 0..cur.int::<usize>("decision count")? {
+            cur.begin("x")?;
+            self.decisions.push(Decision::decode(&mut cur)?);
         }
-        if cur.next()? != "end" {
-            return Err(cur.err("missing snapshot terminator"));
-        }
+        cur.begin("end")?;
+        cur.done()?;
         Ok(())
-    }
-
-    fn cols_tagged<'a>(
-        cur: &SnapCursor<'_>,
-        line: &'a str,
-        tag: &str,
-        n: usize,
-    ) -> Result<Vec<&'a str>, JournalError> {
-        let rest = line
-            .strip_prefix(tag)
-            .and_then(|r| r.strip_prefix(' '))
-            .ok_or_else(|| cur.err(format!("expected a {tag:?} line, found {line:?}")))?;
-        let cols: Vec<&str> = rest.split_whitespace().collect();
-        if cols.len() != n {
-            return Err(cur.err(format!(
-                "{tag:?} line has {} columns, expected {n}",
-                cols.len()
-            )));
-        }
-        Ok(cols)
     }
 
     /// Reconstructs an engine from the journal at `path`: restore the
@@ -2091,7 +1960,8 @@ impl AdmissionEngine {
     /// * Engine-construction errors ([`AdmitError::NoDomains`], oracle
     ///   errors).
     /// * [`AdmitError::Journal`] for I/O failures, snapshot/configuration
-    ///   mismatches, or a tail event that fails to re-apply.
+    ///   mismatches (including a last snapshot in an older format), or a
+    ///   tail event that fails to re-apply.
     pub fn recover<P: AsRef<Path>>(
         path: P,
         cpus: Vec<Processor>,
@@ -2278,61 +2148,6 @@ impl AdmissionEngine {
     }
 }
 
-/// A domain decoded from a migration payload, tasks still unpinned (the
-/// importer re-pins them to the new local index).
-struct ExportedDomain {
-    cpu: Processor,
-    clock: f64,
-    ticks_since_resolve: u64,
-    needs_resolve: bool,
-    active: Vec<Task>,
-    reserved: Vec<Task>,
-    rejected: Vec<(TaskId, f64)>,
-}
-
-fn xp_next<'a, I>(tokens: &mut I, what: &str) -> Result<&'a str, AdmitError>
-where
-    I: Iterator<Item = &'a str>,
-{
-    tokens.next().ok_or_else(|| AdmitError::Migration {
-        reason: format!("payload ends before {what}"),
-    })
-}
-
-fn xp_expect<'a, I>(tokens: &mut I, tag: &str) -> Result<(), AdmitError>
-where
-    I: Iterator<Item = &'a str>,
-{
-    let t = xp_next(tokens, tag)?;
-    if t == tag {
-        Ok(())
-    } else {
-        Err(AdmitError::Migration {
-            reason: format!("expected {tag:?}, found {t:?}"),
-        })
-    }
-}
-
-fn xp_u64<'a, I>(tokens: &mut I, what: &str) -> Result<u64, AdmitError>
-where
-    I: Iterator<Item = &'a str>,
-{
-    let t = xp_next(tokens, what)?;
-    t.parse().map_err(|_| AdmitError::Migration {
-        reason: format!("unparseable {what} {t:?}"),
-    })
-}
-
-fn xp_usize<'a, I>(tokens: &mut I, what: &str) -> Result<usize, AdmitError>
-where
-    I: Iterator<Item = &'a str>,
-{
-    let t = xp_next(tokens, what)?;
-    t.parse().map_err(|_| AdmitError::Migration {
-        reason: format!("unparseable {what} {t:?}"),
-    })
-}
-
 /// The result of [`AdmissionEngine::recover`].
 #[derive(Debug)]
 pub struct Recovered {
@@ -2348,104 +2163,188 @@ pub struct Recovered {
     pub bytes_lost: u64,
 }
 
-/// Line cursor over a snapshot payload, tracking the line number for
-/// error reporting.
-struct SnapCursor<'a> {
-    lines: std::str::Lines<'a>,
-    line_no: usize,
+/// A decoded migration payload: the exporter's clock and ticks since
+/// its last re-solve, the domain, and its standing rejections.
+type Exported = (f64, u64, Domain, Vec<(TaskId, f64)>);
+
+/// A decoding failure in engine state: the 1-based line of the text being
+/// decoded and what was wrong with it. A snapshot restore reports it as
+/// [`JournalError::Snapshot`], a migration import as
+/// [`AdmitError::Migration`].
+#[derive(Debug)]
+struct CodecError {
+    line: usize,
+    reason: String,
 }
 
-impl<'a> SnapCursor<'a> {
+impl From<CodecError> for JournalError {
+    fn from(e: CodecError) -> Self {
+        JournalError::Snapshot {
+            line: e.line,
+            reason: e.reason,
+        }
+    }
+}
+
+impl From<CodecError> for AdmitError {
+    fn from(e: CodecError) -> Self {
+        AdmitError::Migration { reason: e.reason }
+    }
+}
+
+/// Writes ` <value>`, or ` -` for `None` — the codec's optional token.
+fn write_opt(s: &mut String, value: Option<impl std::fmt::Display>) {
+    match value {
+        Some(v) => {
+            let _ = write!(s, " {v}");
+        }
+        None => s.push_str(" -"),
+    }
+}
+
+/// The line/token cursor every engine-state decoder reads through: a
+/// snapshot line by line, a migration payload as its single line. Tokens
+/// are separated by ASCII whitespace and never span lines.
+struct Cursor<'a> {
+    lines: std::str::Lines<'a>,
+    /// The unread remainder of the current line.
+    rest: &'a str,
+    line: usize,
+}
+
+impl<'a> Cursor<'a> {
     fn new(text: &'a str) -> Self {
-        SnapCursor {
+        Cursor {
             lines: text.lines(),
-            line_no: 0,
+            rest: "",
+            line: 0,
         }
     }
 
-    fn next(&mut self) -> Result<&'a str, JournalError> {
-        self.line_no += 1;
-        self.lines.next().ok_or(JournalError::Snapshot {
-            line: self.line_no,
-            reason: "unexpected end of snapshot".to_string(),
-        })
-    }
-
-    fn err(&self, reason: impl Into<String>) -> JournalError {
-        JournalError::Snapshot {
-            line: self.line_no,
+    fn err(&self, reason: impl Into<String>) -> CodecError {
+        CodecError {
+            line: self.line,
             reason: reason.into(),
         }
     }
 
-    /// Next line stripped of `"<tag> "`.
-    fn tagged(&mut self, tag: &str) -> Result<&'a str, JournalError> {
-        let line = self.next()?;
-        line.strip_prefix(tag)
-            .and_then(|r| r.strip_prefix(' '))
-            .ok_or_else(|| self.err(format!("expected a {tag:?} line, found {line:?}")))
-    }
-
-    /// Next line of the form `"<tag> <value>"`, returning the value.
-    fn one_tagged(&mut self, tag: &str) -> Result<&'a str, JournalError> {
-        let rest = self.tagged(tag)?;
-        let rest = rest.trim();
-        if rest.is_empty() || rest.contains(char::is_whitespace) {
-            return Err(self.err(format!("{tag:?} line must carry exactly one value")));
+    /// Fails if the current line has unread tokens.
+    fn finish_line(&self) -> Result<(), CodecError> {
+        match self.peek() {
+            Some(extra) => Err(self.err(format!("trailing token {extra:?}"))),
+            None => Ok(()),
         }
-        Ok(rest)
     }
 
-    fn parse_u64(&self, s: &str) -> Result<u64, JournalError> {
-        s.parse()
-            .map_err(|_| self.err(format!("cannot parse integer {s:?}")))
+    /// Moves to the next line; every token of the current one must have
+    /// been read.
+    fn line(&mut self) -> Result<(), CodecError> {
+        self.finish_line()?;
+        self.line += 1;
+        self.rest = self
+            .lines
+            .next()
+            .ok_or_else(|| self.err("unexpected end of text"))?;
+        Ok(())
     }
 
-    fn parse_bits(&self, s: &str) -> Result<f64, JournalError> {
-        u64::from_str_radix(s, 16)
+    /// Moves to the next line, which must start with `tag`.
+    fn begin(&mut self, tag: &str) -> Result<(), CodecError> {
+        self.line()?;
+        self.tag(tag)
+    }
+
+    /// Requires the text to end after the current line.
+    fn done(&mut self) -> Result<(), CodecError> {
+        self.finish_line()?;
+        match self.lines.next() {
+            Some(_) => {
+                self.line += 1;
+                Err(self.err("text continues past its end"))
+            }
+            None => Ok(()),
+        }
+    }
+
+    fn peek(&self) -> Option<&'a str> {
+        self.rest.split_ascii_whitespace().next()
+    }
+
+    fn next(&mut self, what: &str) -> Result<&'a str, CodecError> {
+        let rest = self
+            .rest
+            .trim_start_matches(|c: char| c.is_ascii_whitespace());
+        let end = rest
+            .find(|c: char| c.is_ascii_whitespace())
+            .unwrap_or(rest.len());
+        if end == 0 {
+            return Err(self.err(format!("line ends before {what}")));
+        }
+        let (token, rest) = rest.split_at(end);
+        self.rest = rest;
+        Ok(token)
+    }
+
+    /// The unread remainder of the current line, trimmed.
+    fn rest(&mut self) -> &'a str {
+        std::mem::take(&mut self.rest).trim_matches(|c: char| c.is_ascii_whitespace())
+    }
+
+    fn tag(&mut self, tag: &str) -> Result<(), CodecError> {
+        match self.next(tag)? {
+            t if t == tag => Ok(()),
+            t => Err(self.err(format!("expected {tag:?}, found {t:?}"))),
+        }
+    }
+
+    /// `<tag> <n>`: a tagged count.
+    fn count(&mut self, tag: &str) -> Result<usize, CodecError> {
+        self.tag(tag)?;
+        self.int(tag)
+    }
+
+    fn int<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, CodecError> {
+        let t = self.next(what)?;
+        t.parse()
+            .map_err(|_| self.err(format!("unparseable {what} {t:?}")))
+    }
+
+    /// A float stored as its raw `f64` bits in hex.
+    fn bits(&mut self, what: &str) -> Result<f64, CodecError> {
+        let t = self.next(what)?;
+        u64::from_str_radix(t, 16)
             .map(f64::from_bits)
-            .map_err(|_| self.err(format!("cannot parse f64 bits {s:?}")))
+            .map_err(|_| self.err(format!("unparseable {what} bits {t:?}")))
     }
 
-    /// Parses a ledger task line `"<tag> <id> <wcec> <period> <deadline|->
-    /// <penalty> [domain]"` (the task-set column format; floats round-trip
-    /// bit-exactly through `Display`). The optional trailing column is the
-    /// power-domain pin.
-    fn parse_task(&self, line: &str, tag: char) -> Result<Task, JournalError> {
-        let cols: Vec<&str> = line.split_whitespace().collect();
-        if !(cols.len() == 6 || cols.len() == 7) || cols[0] != tag.to_string() {
-            return Err(self.err(format!("malformed {tag:?} task line {line:?}")));
+    /// A rejection penalty: finite and non-negative.
+    fn penalty(&mut self) -> Result<f64, CodecError> {
+        let v = self.bits("penalty")?;
+        if v.is_finite() && v >= 0.0 {
+            Ok(v)
+        } else {
+            Err(self.err(format!("invalid penalty {v}")))
         }
-        let id: usize = cols[1]
-            .parse()
-            .map_err(|_| self.err(format!("cannot parse task id {:?}", cols[1])))?;
-        let wcec: f64 = cols[2]
-            .parse()
-            .map_err(|_| self.err(format!("cannot parse wcec {:?}", cols[2])))?;
-        let period: u64 = cols[3]
-            .parse()
-            .map_err(|_| self.err(format!("cannot parse period {:?}", cols[3])))?;
-        let penalty: f64 = cols[5]
-            .parse()
-            .map_err(|_| self.err(format!("cannot parse penalty {:?}", cols[5])))?;
-        let mut task = Task::new(id, wcec, period)
-            .map_err(|e| self.err(e.to_string()))?
-            .with_penalty(penalty);
-        if cols[4] != "-" {
-            let deadline: u64 = cols[4]
-                .parse()
-                .map_err(|_| self.err(format!("cannot parse deadline {:?}", cols[4])))?;
-            task = task
-                .with_deadline(deadline)
-                .map_err(|e| self.err(e.to_string()))?;
+    }
+
+    fn flag(&mut self, what: &str) -> Result<bool, CodecError> {
+        match self.next(what)? {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            t => Err(self.err(format!("bad {what} flag {t:?}"))),
         }
-        if let Some(pin) = cols.get(6) {
-            let pin: usize = pin
-                .parse()
-                .map_err(|_| self.err(format!("cannot parse domain pin {pin:?}")))?;
-            task = task.with_domain(pin);
+    }
+
+    /// An optional value: `-` for `None`, else whatever `read` reads.
+    fn opt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Option<T>, CodecError> {
+        if self.peek() == Some("-") {
+            self.next("-")?;
+            return Ok(None);
         }
-        Ok(task)
+        read(self).map(Some)
     }
 }
 

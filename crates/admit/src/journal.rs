@@ -28,19 +28,28 @@
 //!   (backpressure fast) path and the event line is the single-event
 //!   trace format of `rt_model::io::format_event` (shortest round-trip
 //!   float formatting, so replay sees bit-identical parameters).
-//! * `O` — `<at:bits-hex> <task> <A|R|S|M> <domain|->`: the decision
-//!   audit trail. Recovery *ignores* outcome records — decisions are
-//!   reconstructed by replaying `E` records — they exist so external
+//! * `O` — the decision record `<at:bits-hex> <task> <A|R|S|M>
+//!   <domain|->`, the same encoding a snapshot's `x` lines use: the
+//!   decision audit trail. Recovery *ignores* outcome records — decisions
+//!   are reconstructed by replaying `E` records — they exist so external
 //!   tooling can audit what was decided without an engine.
 //! * `S` — the engine snapshot text (see
-//!   [`AdmissionEngine::encode_snapshot`](crate::AdmissionEngine::encode_snapshot)).
+//!   [`AdmissionEngine::encode_snapshot`](crate::AdmissionEngine::encode_snapshot)):
+//!   a `dvs-admit-snapshot v3` header block, one per-domain record per
+//!   line (a fenced domain as its `xp1` export payload), then the
+//!   unserved, departed, imported and decision ledgers. Only that header
+//!   is read; a journal whose last snapshot carries an older header is
+//!   refused at recovery.
 //! * `B` — the decimal epoch number under which every following record
 //!   was written. A server stamps one when it begins (or resumes) serving
 //!   as primary; replication followers use it to fence off late writes
 //!   from a deposed primary (see the `replication` module).
 //! * `X` — `<local> <payload>`: the domain at local index `local` was
-//!   exported (live resharding); the payload is the migration payload of
-//!   [`AdmissionEngine::export_domain`](crate::AdmissionEngine::export_domain).
+//!   exported (live resharding); the payload is the single-line `xp1`
+//!   migration payload of
+//!   [`AdmissionEngine::export_domain`](crate::AdmissionEngine::export_domain):
+//!   `xp1 clock <bits> tsr <n>`, the same per-domain record snapshots
+//!   use, then `rej <n> (<id> <penalty bits>)… end`.
 //!   Replay re-fences and re-clears the domain so a recovered source
 //!   shard cannot resurrect migrated state.
 //! * `I` — `<key> <payload>`: a migrated domain was imported under the
@@ -64,7 +73,7 @@ use std::path::{Path, PathBuf};
 
 use rt_model::io::{format_event, EventRecord};
 
-use crate::engine::{Decision, Verdict};
+use crate::engine::Decision;
 
 /// First byte of every frame; resynchronisation anchor for loss counting.
 pub const FRAME_MAGIC: u8 = 0xA6;
@@ -342,18 +351,8 @@ impl Journal {
     /// it). The timestamp is stored as raw `f64` bits so audits can be
     /// compared bit-exactly.
     pub fn append_outcome(&mut self, decision: &Decision) {
-        let (code, domain) = match decision.verdict {
-            Verdict::Accepted { domain } => ('A', Some(domain)),
-            Verdict::Rejected => ('R', None),
-            Verdict::Shed { domain } => ('S', Some(domain)),
-            Verdict::Readmitted { domain } => ('M', Some(domain)),
-        };
-        let domain = domain.map_or_else(|| "-".to_string(), |d| d.to_string());
-        let payload = format!(
-            "{:016x} {} {code} {domain}",
-            decision.at.to_bits(),
-            decision.task.index()
-        );
+        let mut payload = String::new();
+        decision.encode(&mut payload);
         self.frame(RecordKind::Outcome, payload.as_bytes());
     }
 
@@ -607,6 +606,7 @@ pub fn scan_bytes(data: &[u8]) -> JournalScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Verdict;
     use rt_model::io::EventKind;
     use rt_model::Task;
 

@@ -1,9 +1,10 @@
 //! Behavioral tests for the admission engine: event validation, the
-//! shedding economics of the re-solve pass, watermark hysteresis, and the
-//! metrics balance invariant.
+//! shedding economics of the re-solve pass, watermark hysteresis, the
+//! metrics balance invariant, and the engine-state codec (snapshots and
+//! migration payloads).
 
 use dvs_admit::{
-    AdmissionEngine, AdmitError, EngineConfig, TraceSpec, Verdict, WatermarkPolicy,
+    AdmissionEngine, AdmitError, EngineConfig, JournalError, TraceSpec, Verdict, WatermarkPolicy,
     RESERVED_ANCHOR_ID,
 };
 use dvs_power::presets::cubic_ideal;
@@ -301,4 +302,171 @@ fn snapshots_round_trip_domain_pins() {
         .unwrap();
     assert_eq!(da, db, "post-restore decisions diverged");
     assert_eq!(a.format_decision_log(), b.format_decision_log());
+}
+
+fn two_domain_engine() -> AdmissionEngine {
+    AdmissionEngine::new(
+        vec![cubic_ideal(), cubic_ideal()],
+        Box::new(OnlineGreedy),
+        EngineConfig::default(),
+    )
+    .unwrap()
+}
+
+/// An engine that has lived through a reshard on both sides: domain 1
+/// was exported (and is fenced), domain 2 was imported from another
+/// engine with a served, a shed and a standing-rejected task. Returns the
+/// engine and the payload domain 1 was exported as.
+fn resharded_engine() -> (AdmissionEngine, String) {
+    let mut e = two_domain_engine();
+    let deadline = Task::new(4, 100.0, 1000)
+        .unwrap()
+        .with_deadline(500)
+        .unwrap()
+        .with_penalty(900.0);
+    for (at, task) in [
+        (0.0, cheap(3, 0.2, 900.0)),
+        (0.0, cheap(1, 0.4, 900.0).with_domain(0)),
+        (0.5, cheap(2, 0.3, 900.0).with_domain(1)),
+        (0.5, deadline.with_domain(0)),
+        (0.5, cheap(5, 0.1, 900.0).with_domain(0)),
+    ] {
+        e.apply(&arrive(at, task)).unwrap();
+    }
+    e.apply(&EventRecord::new(0.7, EventKind::Depart(TaskId::new(5))))
+        .unwrap();
+    let exported = e.export_domain(1).unwrap();
+
+    let mut other = engine();
+    other
+        .apply(&arrive(0.0, cheap(11, 0.5, 130.0).with_domain(0)))
+        .unwrap();
+    other
+        .apply(&arrive(0.0, cheap(12, 0.5, 900.0).with_domain(0)))
+        .unwrap();
+    let infeasible = Task::new(13, 2000.0, 1000).unwrap().with_penalty(5.0);
+    other
+        .apply(&arrive(0.5, infeasible.with_domain(0)))
+        .unwrap();
+    let sheds = other
+        .apply(&EventRecord::new(1.0, EventKind::Tick))
+        .unwrap();
+    assert_eq!(sheds.len(), 1, "fixture expects one shed task");
+    let moved = other.export_domain(0).unwrap();
+    assert_eq!(e.import_domain("2:0", &moved).unwrap(), 2);
+    assert_eq!(e.reserved_len(2), 1, "the shed task must move reserved");
+    (e, exported)
+}
+
+#[test]
+fn snapshots_round_trip_fenced_and_imported_domains() {
+    let (mut a, exported) = resharded_engine();
+    let snap = a.encode_snapshot();
+    let mut b = two_domain_engine();
+    b.restore_snapshot(&snap).unwrap();
+    assert_eq!(b.encode_snapshot(), snap, "snapshot does not round-trip");
+    assert_eq!(b.domain_count(), 3);
+    assert!(b.domain_is_fenced(1));
+    // The fenced slot replays its stored payload; the imported domain
+    // re-exports byte-identically from the restored engine.
+    assert_eq!(b.export_domain(1).unwrap(), exported);
+    assert_eq!(b.export_domain(2).unwrap(), a.export_domain(2).unwrap());
+    assert_eq!(b.encode_snapshot(), a.encode_snapshot());
+    // The restored engine keeps deciding identically.
+    for e in [&mut a, &mut b] {
+        e.apply(&arrive(2.0, cheap(20, 0.3, 900.0))).unwrap();
+        e.apply(&EventRecord::new(3.0, EventKind::Tick)).unwrap();
+    }
+    assert_eq!(a.format_decision_log(), b.format_decision_log());
+    assert_eq!(
+        a.metrics().deterministic_summary(),
+        b.metrics().deterministic_summary()
+    );
+}
+
+/// Byte spans of the whitespace-separated tokens of `text`.
+fn token_spans(text: &str) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut start = None;
+    for (i, c) in text.char_indices().chain([(text.len(), ' ')]) {
+        match (start, c.is_ascii_whitespace()) {
+            (None, false) => start = Some(i),
+            (Some(s), true) => {
+                spans.push((s, i));
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    spans
+}
+
+/// Every token-boundary truncation of `text`, then every single-token
+/// deletion, duplication, and replacement by a junk token drawn from a
+/// seeded stream, paired with whether the mutant may still decode (a
+/// replaced `free` token — an opaque key — is a different valid text).
+fn mutants(text: &str, free: &str, seed: u64) -> Vec<(String, bool)> {
+    const JUNK: [&str; 5] = ["~", "zz", "-1", "0x1g", "\u{3bb}"];
+    let spans = token_spans(text);
+    let last_end = spans.last().unwrap().1;
+    let mut out = Vec::new();
+    for &(start, end) in &spans {
+        out.push((text[..start].to_string(), false));
+        if end < last_end {
+            out.push((text[..end].to_string(), false));
+        }
+    }
+    let mut state = seed;
+    for &(start, end) in &spans {
+        let token = &text[start..end];
+        let splice = |with: &str| format!("{}{with}{}", &text[..start], &text[end..]);
+        out.push((splice(""), false));
+        out.push((splice(&format!("{token} {token}")), false));
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        out.push((
+            splice(JUNK[(state >> 33) as usize % JUNK.len()]),
+            token == free,
+        ));
+    }
+    out
+}
+
+#[test]
+fn corrupted_payloads_and_snapshots_fail_with_typed_errors() {
+    let (mut e, _) = resharded_engine();
+    let snap = e.encode_snapshot();
+    let payload = e.export_domain(2).unwrap();
+    let fresh_target = || {
+        AdmissionEngine::with_domains(Vec::new(), Box::new(OnlineGreedy), EngineConfig::default())
+            .unwrap()
+    };
+    fresh_target().import_domain("k", &payload).unwrap();
+    two_domain_engine().restore_snapshot(&snap).unwrap();
+
+    for seed in [1, 7, 42] {
+        for (mutant, may_decode) in mutants(&payload, "", seed) {
+            match fresh_target().import_domain("k", &mutant) {
+                Err(AdmitError::Migration { .. }) => {}
+                Ok(_) if may_decode => {}
+                other => panic!("payload mutant {mutant:?} gave {other:?}"),
+            }
+        }
+        for (mutant, may_decode) in mutants(&snap, "2:0", seed) {
+            match two_domain_engine().restore_snapshot(&mutant) {
+                Err(JournalError::Snapshot { .. }) => {}
+                Ok(()) if may_decode => {}
+                other => panic!("snapshot mutant gave {other:?}:\n{mutant}"),
+            }
+        }
+    }
+
+    // Older snapshot formats are refused, not half-read.
+    let (_, body) = snap.split_once('\n').unwrap();
+    let old = format!("dvs-admit-snapshot v2\n{body}");
+    assert!(matches!(
+        two_domain_engine().restore_snapshot(&old),
+        Err(JournalError::Snapshot { line: 1, .. })
+    ));
 }

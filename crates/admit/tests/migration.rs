@@ -225,3 +225,101 @@ fn export_and_import_replay_from_the_journal() {
     let _ = std::fs::remove_file(&src_path);
     let _ = std::fs::remove_file(&dst_path);
 }
+
+/// A one-domain cubic engine holding task 5, served on domain 0, and the
+/// payload that domain exports as.
+fn exported_task_five() -> String {
+    let mut src =
+        AdmissionEngine::new(vec![cubic_ideal()], Box::new(OnlineGreedy), config()).unwrap();
+    let task = Task::new(5usize, 300.0, 1000)
+        .unwrap()
+        .with_penalty(900.0)
+        .with_domain(0);
+    src.apply(&EventRecord::new(0.0, EventKind::Arrive(task)))
+        .unwrap();
+    src.export_domain(0).unwrap()
+}
+
+/// Asserts `payload` is refused with a migration error and leaves `dst`
+/// exactly as it was — refused imports change no state, and the key is
+/// not burned.
+fn assert_import_refused(dst: &mut AdmissionEngine, payload: &str) {
+    let before = (dst.domain_count(), dst.stats_json(), dst.encode_snapshot());
+    let err = dst.import_domain("2:0", payload).unwrap_err();
+    assert!(
+        matches!(err, AdmitError::Migration { .. }),
+        "expected a migration error, got {err}"
+    );
+    assert_eq!(
+        (dst.domain_count(), dst.stats_json(), dst.encode_snapshot()),
+        before,
+        "a refused import changed the target"
+    );
+}
+
+#[test]
+fn import_refuses_a_task_already_present_on_the_target() {
+    let payload = exported_task_five();
+    let mut dst =
+        AdmissionEngine::new(vec![cubic_ideal()], Box::new(OnlineGreedy), config()).unwrap();
+    let task = Task::new(5usize, 100.0, 1000).unwrap().with_penalty(1.0);
+    dst.apply(&EventRecord::new(0.0, EventKind::Arrive(task)))
+        .unwrap();
+    assert_import_refused(&mut dst, &payload);
+}
+
+#[test]
+fn import_refuses_a_task_already_departed_from_the_target() {
+    let payload = exported_task_five();
+    let mut dst =
+        AdmissionEngine::new(vec![cubic_ideal()], Box::new(OnlineGreedy), config()).unwrap();
+    let task = Task::new(5usize, 100.0, 1000).unwrap().with_penalty(1.0);
+    dst.apply(&EventRecord::new(0.0, EventKind::Arrive(task)))
+        .unwrap();
+    dst.apply(&EventRecord::new(
+        1.0,
+        EventKind::Depart(rt_model::TaskId::new(5)),
+    ))
+    .unwrap();
+    assert_import_refused(&mut dst, &payload);
+}
+
+#[test]
+fn import_refuses_a_task_repeated_within_the_payload() {
+    let payload = exported_task_five();
+    // Task 5 is served in the payload; list it as a standing rejection too.
+    let doubled = payload.replace(" rej 0 end", " rej 1 5 3ff0000000000000 end");
+    assert_ne!(doubled, payload, "payload layout changed: {payload}");
+    let mut dst =
+        AdmissionEngine::with_domains(Vec::new(), Box::new(OnlineGreedy), config()).unwrap();
+    assert_import_refused(&mut dst, &doubled);
+    // The untampered payload still imports under the same key.
+    assert_eq!(dst.import_domain("2:0", &payload).unwrap(), 0);
+}
+
+#[test]
+fn export_takes_unpinned_reserved_tasks_along() {
+    let mut src =
+        AdmissionEngine::new(vec![cubic_ideal()], Box::new(OnlineGreedy), config()).unwrap();
+    // Two unpinned u = 0.5 tasks; the re-solve sheds the cheap-penalty one,
+    // which stays reserved on domain 0.
+    for (id, penalty) in [(1usize, 130.0), (2, 900.0)] {
+        let task = Task::new(id, 500.0, 1000).unwrap().with_penalty(penalty);
+        src.apply(&EventRecord::new(0.0, EventKind::Arrive(task)))
+            .unwrap();
+    }
+    for at in [1.0, 2.0] {
+        src.apply(&EventRecord::new(at, EventKind::Tick)).unwrap();
+    }
+    assert_eq!(src.reserved_len(0), 1, "fixture expects one shed task");
+    let payload = src.export_domain(0).unwrap();
+    assert!(
+        src.present_tasks().is_empty(),
+        "exported tasks linger on the source: {:?}",
+        src.present_tasks()
+    );
+    let mut dst =
+        AdmissionEngine::with_domains(Vec::new(), Box::new(OnlineGreedy), config()).unwrap();
+    dst.import_domain("2:0", &payload).unwrap();
+    assert_eq!((dst.active_len(0), dst.reserved_len(0)), (1, 1));
+}

@@ -308,6 +308,20 @@ impl ShardMap {
             .collect()
     }
 
+    /// The global domains `member` was *born* serving, in ascending
+    /// order: a version-1 member was constructed over its dense version-1
+    /// assignment; every later joiner (and any non-member) started with
+    /// zero domains and grew purely via imports.
+    #[must_use]
+    pub fn birth_domains(&self, member: &str) -> Vec<usize> {
+        let Some(idx) = self.initial.iter().position(|m| m == member) else {
+            return Vec::new();
+        };
+        ShardMap::new(self.initial.clone(), self.domains, None)
+            .expect("the initial membership was validated when the map was built")
+            .owned(idx)
+    }
+
     /// Adds a member, bumping the version and journaling the change.
     ///
     /// # Errors
@@ -449,6 +463,21 @@ mod tests {
         for g in 0..8 {
             assert_eq!(loaded.shard_for(g), map.shard_for(g));
         }
+    }
+
+    #[test]
+    fn birth_domains_are_the_version_1_assignment() {
+        let mut map = ShardMap::new(names(2), 8, None).unwrap();
+        let born: Vec<Vec<usize>> = (0..2).map(|s| map.owned(s)).collect();
+        map.add_member("shard2").unwrap();
+        map.remove_member("shard0").unwrap();
+        assert_eq!(map.birth_domains("shard0"), born[0], "removal keeps birth");
+        assert_eq!(map.birth_domains("shard1"), born[1]);
+        assert!(
+            map.birth_domains("shard2").is_empty(),
+            "joiners are born empty"
+        );
+        assert!(map.birth_domains("stranger").is_empty());
     }
 
     #[test]

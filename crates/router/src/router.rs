@@ -328,20 +328,6 @@ fn probe_present(shard: &mut Shard) -> Result<(Vec<(usize, Option<usize>)>, Vec<
     Ok((tasks, departed))
 }
 
-/// The domains a member was *born* serving, in ascending global order:
-/// members of the version-1 membership were constructed over the dense
-/// version-1 assignment; every later joiner started with zero domains
-/// and grew purely via imports.
-fn birth_domains(map: &ShardMap, member: &str) -> Vec<usize> {
-    let initial = map.initial_members();
-    let Some(idx) = initial.iter().position(|m| m == member) else {
-        return Vec::new();
-    };
-    ShardMap::new(initial.to_vec(), map.domains(), None)
-        .expect("the initial membership was validated when the map was built")
-        .owned(idx)
-}
-
 /// Rebuilds a shard's slot table from its engine's reported layout.
 /// Imported slots name their global inside the migration key (`"V:G"`);
 /// unkeyed slots are the member's birth domains, named positionally in
@@ -498,7 +484,7 @@ impl Router {
             if reconcile {
                 let layout = probe_layout(&mut shard).map_err(RouterError::Config)?;
                 shard.slots =
-                    slots_from_layout(&shard.name, &layout, &birth_domains(&map, &shard.name))
+                    slots_from_layout(&shard.name, &layout, &map.birth_domains(&shard.name))
                         .map_err(RouterError::Config)?;
             } else {
                 shard.slots = map.owned(s).into_iter().map(Slot::Live).collect();
@@ -1081,7 +1067,7 @@ impl Router {
         for shard in &mut self.shards {
             let layout = probe_layout(shard).map_err(&rerr)?;
             shard.slots =
-                slots_from_layout(&shard.name, &layout, &birth_domains(&self.map, &shard.name))
+                slots_from_layout(&shard.name, &layout, &self.map.birth_domains(&shard.name))
                     .map_err(&rerr)?;
         }
         // The moved set is computed against the *holders*, not the map:

@@ -11,10 +11,10 @@ use std::sync::{Arc, Mutex};
 
 use dvs_admit::json::{self, JsonValue};
 use dvs_admit::server::{serve_tcp, ServeOptions, ServerControl};
+use dvs_admit::AdmitClient;
 use dvs_admit::{AdmissionEngine, ClientConfig, EngineConfig, TraceSpec};
 use dvs_power::presets::{cubic_ideal, xscale_ideal};
 use dvs_power::Processor;
-use dvs_admit::AdmitClient;
 use dvs_router::{Router, ShardMap, ShardSpec};
 use reject_sched::online::OnlineGreedy;
 use rt_model::io::{EventKind, EventRecord};
@@ -353,10 +353,8 @@ fn restarted_router_reconciles_layouts_and_stays_byte_identical() {
     let (events, split) = drained_phase_trace(domains);
     let reference = with_threads("1", || reference_log_for(&events, domains));
     with_threads("1", || {
-        let dir = std::env::temp_dir().join(format!(
-            "dvs_router_restart_test_{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("dvs_router_restart_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let journal = dir.join("map.wal");
@@ -377,7 +375,9 @@ fn restarted_router_reconciles_layouts_and_stays_byte_identical() {
         let (addr2, handle2) = shard_server(&[]);
         handles.push(handle2);
         let resp = router
-            .handle_line(&format!("{{\"op\":\"reshard\",\"add\":\"shard2={addr2}\"}}"))
+            .handle_line(&format!(
+                "{{\"op\":\"reshard\",\"add\":\"shard2={addr2}\"}}"
+            ))
             .response;
         assert!(resp.starts_with("{\"ok\":true"), "reshard refused: {resp}");
         endpoints.push(ShardSpec {
@@ -463,10 +463,8 @@ fn resumed_router_routes_departures_of_pre_restart_tasks() {
     events.push(EventRecord::new(17.0, EventKind::Tick));
     let reference = with_threads("1", || reference_log_for(&events, domains));
     with_threads("1", || {
-        let dir = std::env::temp_dir().join(format!(
-            "dvs_router_resume_test_{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("dvs_router_resume_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let journal = dir.join("map.wal");
@@ -583,7 +581,10 @@ fn abandoned_reshard_is_rolled_forward_by_the_next_reshard() {
                 json::escape(&payload)
             ))
             .unwrap();
-        assert!(resp.starts_with("{\"ok\":true"), "stray import refused: {resp}");
+        assert!(
+            resp.starts_with("{\"ok\":true"),
+            "stray import refused: {resp}"
+        );
         // The displaced domain now refuses arrivals, structurally.
         let probe = format!(
             "{{\"op\":\"arrive\",\"at\":0,\"id\":99,\"cycles\":10,\"period\":50,\
@@ -676,7 +677,9 @@ fn rejoin_at_a_new_address_reconnects_and_migrates_to_the_new_process() {
     let (new_addr, new_handle) = shard_server(&[]);
     handles.push(new_handle);
     let resp = router
-        .handle_line(&format!("{{\"op\":\"reshard\",\"add\":\"shard1={new_addr}\"}}"))
+        .handle_line(&format!(
+            "{{\"op\":\"reshard\",\"add\":\"shard1={new_addr}\"}}"
+        ))
         .response;
     let pairs = json::parse_object(&resp).unwrap();
     assert_eq!(

@@ -156,7 +156,11 @@ fn assert_whole_lines(log: &[Io], requests: usize) {
     assert_eq!(lines.len(), requests);
     for line in lines {
         let pairs = json::parse_object(line).unwrap_or_else(|e| panic!("{e}: {line}"));
-        assert_eq!(json::get(&pairs, "ok"), Some(&JsonValue::Bool(true)), "{line}");
+        assert_eq!(
+            json::get(&pairs, "ok"),
+            Some(&JsonValue::Bool(true)),
+            "{line}"
+        );
     }
 }
 
