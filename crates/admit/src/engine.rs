@@ -70,10 +70,10 @@ use reject_sched::algorithms::{BranchBound, MarginalGreedy};
 use reject_sched::anytime::{BudgetedPolicy, SolveBudget, SolveQuality};
 use reject_sched::online::AdmissionPolicy;
 use reject_sched::{Instance, RejectionPolicy, SchedError, Solution};
-use rt_model::io::{parse_event_line, EventKind, EventRecord};
+use rt_model::io::{EventKind, EventRecord};
 use rt_model::{Task, TaskId, TaskSet};
 
-use crate::journal::{self, Journal, JournalConfig, JournalError, RecordKind};
+use crate::journal::{self, Journal, JournalConfig, JournalError, Record, RecordKind};
 use crate::metrics::Metrics;
 use crate::AdmitError;
 
@@ -1995,76 +1995,22 @@ impl AdmissionEngine {
         };
         let mut replayed = 0u64;
         for (idx, rec) in scan.records.iter().enumerate().skip(start) {
-            let replay_err = |reason: String| JournalError::Replay {
-                record: idx,
-                reason,
-            };
-            if rec.kind == RecordKind::Epoch {
-                let epoch = rec
-                    .payload
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|e| replay_err(format!("bad epoch payload: {e}")))?;
-                engine
-                    .observe_epoch(epoch)
-                    .map_err(|e| replay_err(e.to_string()))?;
-                continue;
-            }
-            if rec.kind == RecordKind::Export {
-                let (local, payload) = rec
-                    .payload
-                    .split_once(' ')
-                    .ok_or_else(|| replay_err("malformed export record".to_string()))?;
-                let local: usize = local
-                    .parse()
-                    .map_err(|_| replay_err(format!("bad export index {local:?}")))?;
-                // Re-exporting from the replayed state must reproduce the
-                // recorded payload byte-for-byte — a mismatch means the
-                // replay diverged from the run that wrote the journal.
-                let replayed_payload = engine
-                    .export_domain(local)
-                    .map_err(|e| replay_err(e.to_string()))?;
-                if replayed_payload != payload {
-                    return Err(replay_err(format!(
-                        "export replay of domain {local} diverged from the journaled payload"
-                    ))
-                    .into());
-                }
-                continue;
-            }
-            if rec.kind == RecordKind::Import {
-                let (key, payload) = rec
-                    .payload
-                    .split_once(' ')
-                    .ok_or_else(|| replay_err("malformed import record".to_string()))?;
-                engine
-                    .import_domain(key, payload)
-                    .map_err(|e| replay_err(e.to_string()))?;
-                continue;
-            }
-            if rec.kind != RecordKind::Event {
-                continue;
-            }
-            let (flag, line) = rec
-                .payload
-                .split_once(' ')
-                .ok_or_else(|| replay_err("missing fast-path flag".to_string()))?;
-            let fast = match flag {
-                "n" => false,
-                "f" => true,
-                other => return Err(replay_err(format!("bad fast-path flag {other:?}")).into()),
-            };
-            let event = parse_event_line(line).map_err(|e| replay_err(e.to_string()))?;
             engine
-                .apply_opts(&event, fast)
-                .map_err(|e| replay_err(e.to_string()))?;
-            replayed += 1;
+                .replay_record(idx, rec.kind, &rec.payload)
+                .map_err(|e| match e {
+                    AdmitError::StaleEpoch { .. } => JournalError::Replay {
+                        record: idx,
+                        reason: e.to_string(),
+                    }
+                    .into(),
+                    e => e,
+                })?;
+            replayed += u64::from(rec.kind == RecordKind::Event);
         }
         engine.metrics.recoveries += 1;
         engine.metrics.records_lost += scan.records_lost;
         let journal = Journal::append_to(path, jconfig, &scan).map_err(JournalError::Io)?;
-        engine.metrics.journal_records = journal.records();
-        engine.journal = Some(journal);
+        engine.attach_journal(journal);
         Ok(Recovered {
             replayed,
             had_snapshot: start > 0,
@@ -2072,6 +2018,58 @@ impl AdmissionEngine {
             bytes_lost: scan.bytes_lost(),
             engine,
         })
+    }
+
+    /// Re-applies journal record `index` — the one replay path shared by
+    /// [`AdmissionEngine::recover`] and a replication follower's mirror
+    /// resync, live stream and promotion. The payload is decoded by
+    /// `journal::Record::decode`; the `journal` module docs give the rule
+    /// per kind: an event re-applies on its journaled path, an epoch
+    /// advances the fence, an export re-exports the domain and must
+    /// reproduce the journaled payload byte for byte, an import re-imports
+    /// (validated as any import), and outcomes and snapshots change
+    /// nothing. Callers replay into an engine with no journal attached
+    /// (the journal being replayed already holds these records).
+    ///
+    /// # Errors
+    ///
+    /// * [`AdmitError::StaleEpoch`] for an epoch behind the fence — the
+    ///   signal a follower uses to fence off a deposed primary.
+    /// * [`AdmitError::Journal`] carrying [`JournalError::Replay`] at
+    ///   `index` for a record that fails to decode or re-apply.
+    pub fn replay_record(
+        &mut self,
+        index: usize,
+        kind: RecordKind,
+        payload: &str,
+    ) -> Result<(), AdmitError> {
+        let fail = |reason: String| {
+            AdmitError::from(JournalError::Replay {
+                record: index,
+                reason,
+            })
+        };
+        match Record::decode(kind, payload).map_err(fail)? {
+            Record::Event { event, fast } => {
+                self.apply_opts(&event, fast)
+                    .map_err(|e| fail(e.to_string()))?;
+            }
+            Record::Epoch(epoch) => self.observe_epoch(epoch)?,
+            Record::Export { local, payload } => {
+                let replayed = self.export_domain(local).map_err(|e| fail(e.to_string()))?;
+                if replayed != payload {
+                    return Err(fail(format!(
+                        "export replay of domain {local} diverged from the journaled payload"
+                    )));
+                }
+            }
+            Record::Import { key, payload } => {
+                self.import_domain(key, payload)
+                    .map_err(|e| fail(e.to_string()))?;
+            }
+            Record::Opaque => {}
+        }
+        Ok(())
     }
 
     /// The metrics registry plus engine gauges as one flat JSON object —

@@ -21,40 +21,53 @@
 //! snapshot), `B` (epoch begin), `X` (domain export), or `I` (domain
 //! import); the CRC (IEEE 802.3) covers the kind
 //! byte and the payload, so a bit flip anywhere in a frame's content is
-//! detected. Payloads are UTF-8 text:
+//! detected. Payloads are UTF-8 text, decoded in one place —
+//! `Record::decode`, next to the `append_*` encoders — and applied in one
+//! place —
+//! [`AdmissionEngine::replay_record`](crate::AdmissionEngine::replay_record).
+//! Recovery (from the last snapshot on), a follower's mirror resync, its
+//! live replication stream and promotion all replay through that pair, so
+//! each kind has exactly one replay rule:
 //!
-//! * `E` — `n <event line>` or `f <event line>`, where the flag records
-//!   whether the event was applied on the normal or the degraded
-//!   (backpressure fast) path and the event line is the single-event
-//!   trace format of `rt_model::io::format_event` (shortest round-trip
-//!   float formatting, so replay sees bit-identical parameters).
+//! * `E` — `n <event line>` or `f <event line>`, where the flag (exactly
+//!   `n` or `f`) records whether the event was applied on the normal or
+//!   the degraded (backpressure fast) path and the event line is the
+//!   single-event trace format of `rt_model::io::format_event` (shortest
+//!   round-trip float formatting, so replay sees bit-identical
+//!   parameters). *Replay* re-applies the event on the same path.
 //! * `O` — the decision record `<at:bits-hex> <task> <A|R|S|M>
 //!   <domain|->`, the same encoding a snapshot's `x` lines use: the
-//!   decision audit trail. Recovery *ignores* outcome records — decisions
-//!   are reconstructed by replaying `E` records — they exist so external
+//!   decision audit trail. *Replay* ignores it — decisions are
+//!   reconstructed by replaying `E` records — it exists so external
 //!   tooling can audit what was decided without an engine.
 //! * `S` — the engine snapshot text (see
 //!   [`AdmissionEngine::encode_snapshot`](crate::AdmissionEngine::encode_snapshot)):
 //!   a `dvs-admit-snapshot v3` header block, one per-domain record per
 //!   line (a fenced domain as its `xp1` export payload), then the
 //!   unserved, departed, imported and decision ledgers. Only that header
-//!   is read; a journal whose last snapshot carries an older header is
-//!   refused at recovery.
+//!   is read. *Replay* steps over it: recovery starts from the last one
+//!   (a journal whose last snapshot carries an older header is refused),
+//!   a follower replays the events it summarises instead.
 //! * `B` — the decimal epoch number under which every following record
 //!   was written. A server stamps one when it begins (or resumes) serving
-//!   as primary; replication followers use it to fence off late writes
+//!   as primary. *Replay* advances the epoch fence; an epoch behind the
+//!   fence is refused, which is how a follower fences off late writes
 //!   from a deposed primary (see the `replication` module).
 //! * `X` — `<local> <payload>`: the domain at local index `local` was
 //!   exported (live resharding); the payload is the single-line `xp1`
 //!   migration payload of
 //!   [`AdmissionEngine::export_domain`](crate::AdmissionEngine::export_domain):
 //!   `xp1 clock <bits> tsr <n>`, the same per-domain record snapshots
-//!   use, then `rej <n> (<id> <penalty bits>)… end`.
-//!   Replay re-fences and re-clears the domain so a recovered source
-//!   shard cannot resurrect migrated state.
+//!   use, then `rej <n> (<id> <penalty bits>)… end`. *Replay* re-exports
+//!   the domain — fencing and clearing it, so a replayed source shard
+//!   cannot resurrect migrated state — and refuses the record unless the
+//!   re-export reproduces the payload byte for byte.
 //! * `I` — `<key> <payload>`: a migrated domain was imported under the
-//!   given idempotency key. Replay re-imports it, so the target shard's
-//!   recovery rebuilds the post-migration shape.
+//!   given idempotency key. *Replay* re-imports it (with the import's own
+//!   validation), rebuilding the post-migration shape on the target.
+//!
+//! A record that fails to decode or re-apply is refused with
+//! [`JournalError::Replay`] naming its index in the journal.
 //!
 //! ## Torn-tail tolerance
 //!
@@ -71,7 +84,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use rt_model::io::{format_event, EventRecord};
+use rt_model::io::{format_event, parse_event_line, EventRecord};
 
 use crate::engine::Decision;
 
@@ -133,10 +146,10 @@ pub enum RecordKind {
     /// An epoch-begin marker (`B`): fencing for replicated failover.
     Epoch,
     /// A domain-export record (`X`): the domain left this engine, carrying
-    /// its migration payload. Recovery re-applies the fence and clear.
+    /// its migration payload. Replay re-applies the fence and clear.
     Export,
     /// A domain-import record (`I`): a migrated domain landed on this
-    /// engine under an idempotency key. Recovery re-applies the import.
+    /// engine under an idempotency key. Replay re-applies the import.
     Import,
 }
 
@@ -178,11 +191,12 @@ pub enum JournalError {
         /// What went wrong.
         reason: String,
     },
-    /// A journaled event record failed to parse or re-apply during
-    /// recovery replay (it applied cleanly when first journaled, so this
-    /// indicates external tampering or a config mismatch).
+    /// A journal record failed to decode or re-apply during replay — by
+    /// recovery or by a replication follower (it applied cleanly when
+    /// first journaled, so this indicates external tampering or a config
+    /// mismatch).
     Replay {
-        /// 0-based index of the record within the valid prefix.
+        /// 0-based index of the record within the journal (or mirror).
         record: usize,
         /// What went wrong.
         reason: String,
@@ -364,8 +378,8 @@ impl Journal {
         self.frame(RecordKind::Epoch, epoch.to_string().as_bytes());
     }
 
-    /// Appends a domain-export record: `<local> <payload>`. Recovery
-    /// replays the fence/clear so a recovered source shard cannot
+    /// Appends a domain-export record: `<local> <payload>`. Replay
+    /// re-applies the fence/clear so a recovered source shard cannot
     /// resurrect a migrated domain.
     pub fn append_export(&mut self, local: usize, payload: &str) {
         let text = format!("{local} {payload}");
@@ -373,7 +387,7 @@ impl Journal {
     }
 
     /// Appends a domain-import record: `<key> <payload>`, where `key` is
-    /// the migration idempotency key (no whitespace). Recovery replays
+    /// the migration idempotency key (no whitespace). Replay re-applies
     /// the import, reconstructing the domain on the target shard.
     pub fn append_import(&mut self, key: &str, payload: &str) {
         let text = format!("{key} {payload}");
@@ -430,6 +444,65 @@ impl Journal {
     pub fn sync(&mut self) -> std::io::Result<()> {
         self.write_pending()?;
         self.file.sync_data()
+    }
+}
+
+/// A journal record decoded for replay: the inverse of the `append_*`
+/// encoders above. [`AdmissionEngine::replay_record`](crate::AdmissionEngine::replay_record)
+/// applies it; the module docs give the replay rule per kind.
+#[derive(Debug)]
+pub(crate) enum Record<'a> {
+    /// `E`: an applied event, and whether it took the fast path.
+    Event { event: EventRecord, fast: bool },
+    /// `B`: the epoch every following record was written under.
+    Epoch(u64),
+    /// `X`: the domain at local index `local` was exported as `payload`.
+    Export { local: usize, payload: &'a str },
+    /// `I`: `payload` was imported under the idempotency key `key`.
+    Import { key: &'a str, payload: &'a str },
+    /// `O` and `S`: nothing to re-apply.
+    Opaque,
+}
+
+impl<'a> Record<'a> {
+    /// Decodes the payload of a `kind` record; the error says what is
+    /// wrong with it.
+    pub(crate) fn decode(kind: RecordKind, payload: &'a str) -> Result<Self, String> {
+        let fields = |what: &str| {
+            payload
+                .split_once(' ')
+                .ok_or_else(|| format!("malformed {what} record"))
+        };
+        Ok(match kind {
+            RecordKind::Event => {
+                let (flag, line) = payload.split_once(' ').ok_or("missing fast-path flag")?;
+                let fast = match flag {
+                    "n" => false,
+                    "f" => true,
+                    other => return Err(format!("bad fast-path flag {other:?}")),
+                };
+                let event = parse_event_line(line).map_err(|e| e.to_string())?;
+                Record::Event { event, fast }
+            }
+            RecordKind::Epoch => Record::Epoch(
+                payload
+                    .trim()
+                    .parse()
+                    .map_err(|e| format!("bad epoch payload: {e}"))?,
+            ),
+            RecordKind::Export => {
+                let (local, payload) = fields("export")?;
+                let local = local
+                    .parse()
+                    .map_err(|_| format!("bad export index {local:?}"))?;
+                Record::Export { local, payload }
+            }
+            RecordKind::Import => {
+                let (key, payload) = fields("import")?;
+                Record::Import { key, payload }
+            }
+            RecordKind::Outcome | RecordKind::Snapshot => Record::Opaque,
+        })
     }
 }
 
@@ -538,16 +611,17 @@ pub fn check_frame(data: &[u8], offset: usize) -> FrameCheck {
     }
 }
 
-/// Attempts to decode one frame at `offset`; `None` if anything about it
-/// is invalid (bad magic/kind, insane or short length, CRC mismatch,
-/// non-UTF-8 payload) or incomplete.
-fn try_frame(data: &[u8], offset: usize) -> Option<(RecordKind, String, usize)> {
+/// Decodes the frame at `offset`: its kind, its payload, and the offset
+/// just past it. `None` unless [`check_frame`] finds it
+/// [`FrameCheck::Complete`].
+#[must_use]
+pub(crate) fn read_frame(data: &[u8], offset: usize) -> Option<(RecordKind, &str, usize)> {
     let FrameCheck::Complete { end } = check_frame(data, offset) else {
         return None;
     };
     let kind = RecordKind::from_byte(data[offset + 1])?;
     let payload = std::str::from_utf8(&data[offset + HEADER_LEN..end]).ok()?;
-    Some((kind, payload.to_string(), end))
+    Some((kind, payload, end))
 }
 
 /// Scans a journal file, returning the valid record prefix and counting
@@ -564,14 +638,16 @@ pub fn scan<P: AsRef<Path>>(path: P) -> std::io::Result<JournalScan> {
 }
 
 /// [`scan`] over an in-memory byte slice — the same torn-tail-tolerant
-/// walk, used directly by the replication layer to resynchronise a
-/// follower's mirror after a mid-frame disconnect.
+/// walk.
 #[must_use]
 pub fn scan_bytes(data: &[u8]) -> JournalScan {
     let mut records = Vec::new();
     let mut offset = 0usize;
-    while let Some((kind, payload, next)) = try_frame(data, offset) {
-        records.push(ScannedRecord { kind, payload });
+    while let Some((kind, payload, next)) = read_frame(data, offset) {
+        records.push(ScannedRecord {
+            kind,
+            payload: payload.to_string(),
+        });
         offset = next;
     }
     let valid_len = offset as u64;
@@ -583,7 +659,7 @@ pub fn scan_bytes(data: &[u8]) -> JournalScan {
     let mut saw_garbage = false;
     let mut i = offset;
     while i < data.len() {
-        match try_frame(data, i) {
+        match read_frame(data, i) {
             Some((_, _, next)) => {
                 records_lost += 1;
                 i = next;

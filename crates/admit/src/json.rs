@@ -505,6 +505,25 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// The structured error response line of the wire protocol:
+/// `{"ok":false,"kind":…,"error":…}`, plus `"id":…` when the error is
+/// about a task.
+#[must_use]
+pub fn err_response(kind: &str, id: Option<usize>, msg: &str) -> String {
+    let id = id.map_or_else(String::new, |i| format!(",\"id\":{i}"));
+    format!(
+        "{{\"ok\":false,\"kind\":\"{kind}\",\"error\":\"{}\"{id}}}",
+        escape(msg)
+    )
+}
+
+/// A JSON array of task ids: `[1,2,3]`.
+#[must_use]
+pub fn ids_json(ids: &[usize]) -> String {
+    let items: Vec<String> = ids.iter().map(usize::to_string).collect();
+    format!("[{}]", items.join(","))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

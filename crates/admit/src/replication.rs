@@ -17,11 +17,14 @@
 //! ```
 //!
 //! The follower appends every received byte to a local **mirror** file —
-//! byte-identical to the primary's journal prefix — and applies each
-//! complete `E` frame to its own engine. Because the engine is
-//! deterministic (the `DVS_THREADS` contract), replaying the same event
-//! bytes reproduces the primary's decision log bit-for-bit: the standby
-//! *is* a recovery, streamed continuously instead of run after a crash.
+//! byte-identical to the primary's journal prefix — and replays each
+//! complete frame through
+//! [`AdmissionEngine::replay_record`], the same path recovery uses (so
+//! the same checks: a strict event flag, a byte-identical re-export, a
+//! validated import, epoch fencing). Because the engine is deterministic
+//! (the `DVS_THREADS` contract), replaying the same bytes reproduces the
+//! primary's decision log bit-for-bit: the standby *is* a recovery,
+//! streamed continuously instead of run after a crash.
 //!
 //! When the journal is idle the primary emits a single [`HEARTBEAT_BYTE`]
 //! between frames so the follower can distinguish "quiet primary" from
@@ -32,7 +35,8 @@
 //!
 //! A connection can die mid-frame; the follower's mirror then ends in a
 //! partial frame. On every (re)connect the follower re-runs the journal's
-//! torn-tail scan ([`journal::scan_bytes`]) over its mirror: the valid
+//! torn-tail scan ([`journal::scan`]) over its mirror, replaying every
+//! record past its applied cursor (`repl_records`): the valid
 //! prefix becomes the resume cursor, the torn tail is truncated and
 //! counted ([`Metrics::repl_torn_tails`](crate::Metrics)), and the
 //! handshake re-requests the stream from exactly that byte — nothing is
@@ -66,13 +70,11 @@ use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use rt_model::io::parse_event_line;
-
 use crate::engine::AdmissionEngine;
-use crate::journal::{self, check_frame, FrameCheck, JournalConfig, JournalError, RecordKind};
+use crate::journal::{self, check_frame, FrameCheck, JournalConfig, JournalError, JournalScan};
 use crate::{AdmitError, Journal};
 
 /// Liveness byte the primary sends between frames when the journal is
@@ -89,6 +91,14 @@ const PARK_TIMEOUT: Duration = Duration::from_secs(5);
 
 fn io_err(e: std::io::Error) -> AdmitError {
     AdmitError::Journal(JournalError::Io(e))
+}
+
+/// Locks the shared engine, riding through a poisoned lock (a panicked
+/// session must not take replication down with it).
+fn lock(engine: &Mutex<AdmissionEngine>) -> MutexGuard<'_, AdmissionEngine> {
+    engine
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------------
@@ -537,91 +547,25 @@ pub fn backoff_delay(base: Duration, cap: Duration, attempt: u32, rng: &mut u64)
     capped + Duration::from_nanos(jitter_nanos)
 }
 
-/// Applies one scanned/streamed journal record to a follower engine.
-/// `E` frames replay the event, `B` frames advance the fence (stale ones
-/// are the fenced-off late writes), `X`/`I` frames replay live-resharding
-/// domain moves, `O`/`S` frames are mirror-only.
-fn apply_record(
-    engine: &mut AdmissionEngine,
-    kind: RecordKind,
-    payload: &str,
-) -> Result<(), AdmitError> {
-    match kind {
-        RecordKind::Event => {
-            let (flag, line) = payload.split_once(' ').ok_or_else(|| {
-                AdmitError::Journal(JournalError::Replay {
-                    record: 0,
-                    reason: "missing fast-path flag".to_string(),
-                })
-            })?;
-            let fast = flag == "f";
-            let event = parse_event_line(line).map_err(|e| {
-                AdmitError::Journal(JournalError::Replay {
-                    record: 0,
-                    reason: e.to_string(),
-                })
-            })?;
-            engine.apply_opts(&event, fast)?;
-        }
-        RecordKind::Epoch => {
-            let epoch = payload.trim().parse::<u64>().map_err(|e| {
-                AdmitError::Journal(JournalError::Replay {
-                    record: 0,
-                    reason: format!("bad epoch payload: {e}"),
-                })
-            })?;
-            engine.observe_epoch(epoch)?;
-        }
-        RecordKind::Export => {
-            let (local, _) = payload.split_once(' ').ok_or_else(|| {
-                AdmitError::Journal(JournalError::Replay {
-                    record: 0,
-                    reason: "malformed export record".to_string(),
-                })
-            })?;
-            let local: usize = local.parse().map_err(|_| {
-                AdmitError::Journal(JournalError::Replay {
-                    record: 0,
-                    reason: format!("bad export index {local:?}"),
-                })
-            })?;
-            engine.export_domain(local)?;
-        }
-        RecordKind::Import => {
-            let (key, body) = payload.split_once(' ').ok_or_else(|| {
-                AdmitError::Journal(JournalError::Replay {
-                    record: 0,
-                    reason: "malformed import record".to_string(),
-                })
-            })?;
-            engine.import_domain(key, body)?;
-        }
-        RecordKind::Outcome | RecordKind::Snapshot => {}
-    }
-    engine.metrics_mut().repl_records += 1;
-    Ok(())
-}
-
-/// Resynchronises the follower engine with its mirror file: torn-tail
-/// scan, replay of any records past the engine's applied cursor, torn
-/// tail truncated and counted. Returns the byte cursor to resume the
-/// stream from. Creates the mirror if it does not exist.
-fn resync_mirror(engine: &Mutex<AdmissionEngine>, mirror: &Path) -> Result<u64, AdmitError> {
+/// Brings the follower engine up to its mirror file: torn-tail scan,
+/// replay of every record past the engine's applied cursor
+/// (`repl_records`), torn tail truncated and counted. Creates the mirror
+/// if it does not exist. Returns the scan: its valid length is the byte
+/// cursor to resume the stream from, and [`promote`] reopens the mirror
+/// as the live journal from it.
+fn resync_mirror(
+    engine: &Mutex<AdmissionEngine>,
+    mirror: &Path,
+) -> Result<JournalScan, AdmitError> {
     if !mirror.exists() {
         File::create(mirror).map_err(io_err)?;
-        return Ok(0);
     }
-    let mut data = Vec::new();
-    File::open(mirror)
-        .and_then(|mut f| f.read_to_end(&mut data))
-        .map_err(io_err)?;
-    let scan = journal::scan_bytes(&data);
-    let mut g = engine
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let scan = journal::scan(mirror).map_err(io_err)?;
+    let mut g = lock(engine);
     let applied = g.metrics().repl_records as usize;
-    for rec in scan.records.iter().skip(applied) {
-        apply_record(&mut g, rec.kind, &rec.payload)?;
+    for (index, rec) in scan.records.iter().enumerate().skip(applied) {
+        g.replay_record(index, rec.kind, &rec.payload)?;
+        g.metrics_mut().repl_records += 1;
     }
     if scan.bytes_lost() > 0 {
         g.metrics_mut().repl_torn_tails += 1;
@@ -632,7 +576,7 @@ fn resync_mirror(engine: &Mutex<AdmissionEngine>, mirror: &Path) -> Result<u64, 
             .map_err(io_err)?;
     }
     g.metrics_mut().repl_bytes = scan.valid_len;
-    Ok(scan.valid_len)
+    Ok(scan)
 }
 
 /// The follower loop: resync the mirror, connect to the primary, stream
@@ -678,20 +622,12 @@ fn follow_inner(
         if role.promote_requested() {
             return Ok(FollowEnd::PromoteRequested);
         }
-        let cursor = resync_mirror(engine, &opts.mirror)?;
-        let fence = {
-            let g = engine
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            g.epoch()
-        };
+        let cursor = resync_mirror(engine, &opts.mirror)?.valid_len;
+        let fence = lock(engine).epoch();
         match TcpStream::connect(&opts.primary) {
             Ok(stream) => {
                 if connected_once {
-                    let mut g = engine
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    g.metrics_mut().repl_reconnects += 1;
+                    lock(engine).metrics_mut().repl_reconnects += 1;
                 }
                 connected_once = true;
                 attempt = 0;
@@ -709,11 +645,7 @@ fn follow_inner(
             }
         }
         if last_heard.elapsed() >= opts.heartbeat_timeout {
-            let mut g = engine
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            g.metrics_mut().heartbeat_misses += 1;
-            drop(g);
+            lock(engine).metrics_mut().heartbeat_misses += 1;
             last_heard = Instant::now();
             if opts.exit_on_lease_expiry {
                 return Ok(FollowEnd::LeaseExpired);
@@ -771,9 +703,7 @@ fn stream_session(
                 reason: format!("bad handshake reply {reply:?}"),
             })
         })?;
-        let mut g = engine
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut g = lock(engine);
         if epoch < fence {
             g.metrics_mut().epoch_rejects += 1;
             return Ok(SessionOutcome::End(FollowEnd::StaleSource));
@@ -781,10 +711,7 @@ fn stream_session(
         g.observe_epoch(epoch)?;
     } else if reply.starts_with("ERR stale-epoch") {
         // The primary itself detected it is behind our fence.
-        let mut g = engine
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        g.metrics_mut().epoch_rejects += 1;
+        lock(engine).metrics_mut().epoch_rejects += 1;
         return Ok(SessionOutcome::End(FollowEnd::StaleSource));
     } else {
         return Ok(SessionOutcome::Disconnected);
@@ -795,10 +722,10 @@ fn stream_session(
         .append(true)
         .open(&opts.mirror)
         .map_err(io_err)?;
-    // `buf` holds the unconsumed suffix of the stream (always starting at
-    // a frame boundary); `mirrored` of its bytes are already on disk —
-    // partial frames are flushed eagerly so a kill here leaves exactly
-    // the torn tail the next resync's scan expects.
+    // `buf[pos..]` is the unconsumed stream (`pos` always at a frame
+    // boundary); `buf[pos..mirrored]` is already on disk — partial frames
+    // are flushed eagerly so a kill here leaves exactly the torn tail the
+    // next resync's scan expects.
     let mut buf: Vec<u8> = Vec::new();
     let mut mirrored = 0usize;
     let mut chunk = [0u8; 64 * 1024];
@@ -819,11 +746,7 @@ fn stream_session(
                 ) =>
             {
                 if last_heard.elapsed() >= opts.heartbeat_timeout {
-                    let mut g = engine
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    g.metrics_mut().heartbeat_misses += 1;
-                    drop(g);
+                    lock(engine).metrics_mut().heartbeat_misses += 1;
                     *last_heard = Instant::now();
                     if opts.exit_on_lease_expiry {
                         return Ok(SessionOutcome::End(FollowEnd::LeaseExpired));
@@ -837,51 +760,42 @@ fn stream_session(
         *last_heard = Instant::now();
         role.note_heard();
         buf.extend_from_slice(&chunk[..n]);
+        let mut pos = 0usize;
         loop {
-            if mirrored == 0 && buf.first() == Some(&HEARTBEAT_BYTE) {
-                buf.remove(0);
+            if mirrored == pos && buf.get(pos) == Some(&HEARTBEAT_BYTE) {
+                pos += 1;
+                mirrored = pos;
                 continue;
             }
-            match check_frame(&buf, 0) {
-                FrameCheck::Complete { end } => {
-                    mirror.write_all(&buf[mirrored..end]).map_err(io_err)?;
-                    let (kind, payload) = decode_checked_frame(&buf[..end]);
-                    let mut g = engine
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let res = apply_record(&mut g, kind, &payload);
-                    g.metrics_mut().repl_bytes += end as u64;
-                    let stale = matches!(res, Err(AdmitError::StaleEpoch { .. }));
-                    if stale {
+            if let Some((kind, payload, end)) = journal::read_frame(&buf, pos) {
+                mirror.write_all(&buf[mirrored..end]).map_err(io_err)?;
+                let mut g = lock(engine);
+                let index = g.metrics().repl_records as usize;
+                let res = g.replay_record(index, kind, payload);
+                g.metrics_mut().repl_bytes += (end - pos) as u64;
+                match res {
+                    Ok(()) => g.metrics_mut().repl_records += 1,
+                    Err(AdmitError::StaleEpoch { .. }) => {
                         g.metrics_mut().epoch_rejects += 1;
-                        drop(g);
                         return Ok(SessionOutcome::End(FollowEnd::StaleSource));
                     }
-                    drop(g);
-                    res?;
-                    buf.drain(..end);
-                    mirrored = 0;
+                    Err(e) => return Err(e),
                 }
-                FrameCheck::Incomplete => {
-                    mirror.write_all(&buf[mirrored..]).map_err(io_err)?;
-                    mirrored = buf.len();
-                    break;
-                }
-                FrameCheck::Invalid => {
-                    // Corrupted in flight: drop the connection and let the
-                    // resync scan truncate whatever reached the mirror.
-                    return Ok(SessionOutcome::Disconnected);
-                }
+                pos = end;
+                mirrored = end;
+            } else if check_frame(&buf, pos) == FrameCheck::Invalid {
+                // Corrupted in flight: drop the connection and let the
+                // resync scan truncate whatever reached the mirror.
+                return Ok(SessionOutcome::Disconnected);
+            } else {
+                mirror.write_all(&buf[mirrored..]).map_err(io_err)?;
+                mirrored = buf.len();
+                break;
             }
         }
+        buf.drain(..pos);
+        mirrored -= pos;
     }
-}
-
-/// Decodes a frame already validated by [`check_frame`].
-fn decode_checked_frame(frame: &[u8]) -> (RecordKind, String) {
-    let scan = journal::scan_bytes(frame);
-    let rec = &scan.records[0];
-    (rec.kind, rec.payload.clone())
 }
 
 fn read_reply_line(stream: &mut TcpStream, deadline: Duration) -> Option<String> {
@@ -933,10 +847,7 @@ fn read_reply_line(stream: &mut TcpStream, deadline: Duration) -> Option<String>
 ///   from the fence), but replay errors propagate.
 pub fn promote(engine: &Mutex<AdmissionEngine>, ctx: &RoleContext) -> Result<u64, AdmitError> {
     if ctx.role.is_primary() {
-        let g = engine
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        return Ok(g.epoch());
+        return Ok(lock(engine).epoch());
     }
     ctx.role.request_promote();
     let deadline = Instant::now() + PARK_TIMEOUT;
@@ -949,25 +860,8 @@ pub fn promote(engine: &Mutex<AdmissionEngine>, ctx: &RoleContext) -> Result<u64
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-    if !ctx.mirror.exists() {
-        File::create(&ctx.mirror).map_err(io_err)?;
-    }
-    let mut data = Vec::new();
-    File::open(&ctx.mirror)
-        .and_then(|mut f| f.read_to_end(&mut data))
-        .map_err(io_err)?;
-    let scan = journal::scan_bytes(&data);
-    let mut g = engine
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let applied = g.metrics().repl_records as usize;
-    for rec in scan.records.iter().skip(applied) {
-        apply_record(&mut g, rec.kind, &rec.payload)?;
-    }
-    if scan.bytes_lost() > 0 {
-        g.metrics_mut().repl_torn_tails += 1;
-    }
-    g.metrics_mut().repl_bytes = scan.valid_len;
+    let scan = resync_mirror(engine, &ctx.mirror)?;
+    let mut g = lock(engine);
     let journal = Journal::append_to(&ctx.mirror, ctx.jconfig, &scan).map_err(io_err)?;
     g.attach_journal(journal);
     let new_epoch = g.epoch() + 1;

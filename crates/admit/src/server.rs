@@ -102,15 +102,10 @@ impl ReqError {
             msg: e.to_string(),
         }
     }
-}
 
-fn err_response(e: &ReqError) -> String {
-    let id = e.id.map_or_else(String::new, |i| format!(",\"id\":{i}"));
-    format!(
-        "{{\"ok\":false,\"kind\":\"{}\",\"error\":\"{}\"{id}}}",
-        e.kind,
-        json::escape(&e.msg)
-    )
+    fn response(&self) -> String {
+        json::err_response(self.kind, self.id, &self.msg)
+    }
 }
 
 fn num_field(pairs: &[(String, JsonValue)], key: &'static str) -> Result<f64, ReqError> {
@@ -146,11 +141,6 @@ fn shed_ids(decisions: &[Decision]) -> Vec<usize> {
         .collect()
 }
 
-fn ids_json(ids: &[usize]) -> String {
-    let items: Vec<String> = ids.iter().map(usize::to_string).collect();
-    format!("[{}]", items.join(","))
-}
-
 /// Parses and executes one request line against the engine.
 ///
 /// Never panics and never returns `Err`: protocol and engine errors are
@@ -183,7 +173,7 @@ pub fn handle_line_opts(
     let mut shutdown = false;
     let response = match handle_inner(engine, line, scratch, &mut shutdown, fast) {
         Ok(r) => r,
-        Err(e) => err_response(&e),
+        Err(e) => e.response(),
     };
     Handled { response, shutdown }
 }
@@ -262,7 +252,7 @@ fn handle_inner(
             };
             Ok(format!(
                 "{{\"ok\":true,\"id\":{id},\"shed\":{}{dlog}}}",
-                ids_json(&shed_ids(&decisions))
+                json::ids_json(&shed_ids(&decisions))
             ))
         }
         "tick" => {
@@ -278,7 +268,7 @@ fn handle_inner(
             };
             Ok(format!(
                 "{{\"ok\":true,\"shed\":{},\"resolves\":{}{dlog}}}",
-                ids_json(&shed_ids(&decisions)),
+                json::ids_json(&shed_ids(&decisions)),
                 engine.metrics().resolves
             ))
         }
@@ -411,7 +401,7 @@ pub fn handle_line_role(
                     Ok(epoch) => {
                         format!("{{\"ok\":true,\"role\":\"primary\",\"epoch\":{epoch}}}")
                     }
-                    Err(e) => err_response(&ReqError::admit(&e)),
+                    Err(e) => ReqError::admit(&e).response(),
                 };
                 return Handled {
                     response,
@@ -437,12 +427,11 @@ pub fn handle_line_role(
             }
             Some("arrive" | "depart" | "tick" | "export" | "import") if !ctx.role.is_primary() => {
                 return Handled {
-                    response: err_response(&ReqError {
-                        kind: "not-primary",
-                        id: None,
-                        msg: "this node is a follower; promote it or address the primary"
-                            .to_string(),
-                    }),
+                    response: json::err_response(
+                        "not-primary",
+                        None,
+                        "this node is a follower; promote it or address the primary",
+                    ),
                     shutdown: false,
                 };
             }

@@ -2,7 +2,9 @@
 //! level: a hot-standby follower streaming the primary's journal keeps a
 //! bit-identical decision log at every `DVS_THREADS`; disconnects,
 //! torn frames, and promotion all preserve that identity; a deposed
-//! primary is fenced off by epoch.
+//! primary is fenced off by epoch; live-resharding exports and imports
+//! replicate too; and a tampered record is refused by recovery and by a
+//! follower alike.
 
 use std::io::Write as _;
 use std::net::TcpListener;
@@ -10,14 +12,14 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dvs_admit::journal::JournalConfig;
+use dvs_admit::journal::{frame_crc, JournalConfig, JournalError, FRAME_MAGIC};
 use dvs_admit::replication::{
-    self, serve_hub, FollowEnd, FollowerOptions, HubOptions, ReplicationHub, RoleContext,
+    self, serve_hub, FollowEnd, FollowerOptions, HubOptions, ReplicationHub, Role, RoleContext,
 };
-use dvs_admit::{AdmissionEngine, EngineConfig, TraceSpec};
+use dvs_admit::{AdmissionEngine, AdmitError, EngineConfig, TraceSpec};
 use dvs_power::presets::xscale_ideal;
 use reject_sched::online::OnlineGreedy;
-use rt_model::io::EventRecord;
+use rt_model::io::{format_event, EventKind, EventRecord};
 
 /// Serialises tests that touch the process-global `DVS_THREADS` variable.
 fn with_threads<R>(n: &str, f: impl FnOnce() -> R) -> R {
@@ -548,4 +550,189 @@ fn epoch_fencing_rejects_stale_writes() {
     e.observe_epoch(7).unwrap(); // advancing: fine
     assert_eq!(e.epoch(), 7);
     assert_eq!(e.metrics().epoch_bumps, 2, "3 and 7 each bumped the fence");
+}
+
+/// Live resharding over replication: a replicated primary exports domain
+/// 1 and imports that payload back under a migration key (as local
+/// domain 2), with events on both sides of the move. The standby's log
+/// and its idempotent re-export match the primary's, and after promotion
+/// the rest of the session leaves the log of an uninterrupted engine.
+#[test]
+fn exports_and_imports_replicate_and_survive_promotion() {
+    let trace = TraceSpec::new(16, 2.4, 8).domains(2).generate().unwrap();
+    let (moved_at, promote_at) = (trace.len() / 3, 2 * trace.len() / 3);
+    // After the move, arrivals pinned to the exported slot land on the
+    // imported one.
+    let after: Vec<EventRecord> = trace[moved_at..]
+        .iter()
+        .map(|e| match &e.kind {
+            EventKind::Arrive(t) if t.domain() == Some(1) => {
+                EventRecord::new(e.at, EventKind::Arrive(t.with_domain(2)))
+            }
+            _ => e.clone(),
+        })
+        .collect();
+    assert!(
+        after
+            .iter()
+            .any(|e| matches!(&e.kind, EventKind::Arrive(t) if t.domain() == Some(2))),
+        "no arrivals on the imported domain after the move"
+    );
+    let split = promote_at - moved_at;
+    let move_domain = |e: &mut AdmissionEngine| {
+        assert!(
+            e.present_tasks().iter().any(|&(_, d)| d == Some(1)),
+            "domain 1 moves empty"
+        );
+        let payload = e.export_domain(1).unwrap();
+        assert_eq!(e.import_domain("move-1", &payload).unwrap(), 2);
+    };
+    for threads in ["1", "4"] {
+        with_threads(threads, || {
+            let (ref_log, ref_sum) = {
+                let mut e = engine_with_domains(2);
+                dvs_admit::trace::replay(&mut e, &trace[..moved_at]).unwrap();
+                move_domain(&mut e);
+                dvs_admit::trace::replay(&mut e, &after).unwrap();
+                (e.format_decision_log(), e.metrics().deterministic_summary())
+            };
+            let mut f = Fixture::start_with_domains(&format!("xi_{threads}"), 2);
+            f.apply(&trace[..moved_at]);
+            move_domain(&mut f.primary.lock().unwrap());
+            f.apply(&after[..split]);
+            f.wait_catchup();
+            assert_eq!(
+                logs(&f.follower),
+                logs(&f.primary),
+                "threads {threads}: standby diverged across the move"
+            );
+            let reexport = |e: &Mutex<AdmissionEngine>| e.lock().unwrap().export_domain(1).unwrap();
+            assert_eq!(
+                reexport(&f.follower),
+                reexport(&f.primary),
+                "threads {threads}: standby re-export differs"
+            );
+
+            f.hub.shutdown();
+            if let Some(t) = f.hub_thread.take() {
+                let _ = t.join();
+            }
+            assert_eq!(replication::promote(&f.follower, &f.ctx).unwrap(), 2);
+            let end = f.follower_thread.take().unwrap().join().unwrap().unwrap();
+            assert_eq!(end, FollowEnd::PromoteRequested);
+            dvs_admit::trace::replay(&mut f.follower.lock().unwrap(), &after[split..]).unwrap();
+            let (log, sum) = logs(&f.follower);
+            assert_eq!(log, ref_log, "threads {threads}: failed-over log diverged");
+            assert_eq!(
+                sum, ref_sum,
+                "threads {threads}: failed-over metrics diverged"
+            );
+            f.shutdown();
+        });
+    }
+}
+
+/// One CRC-valid journal frame, built by hand so a test can write a
+/// record no engine would.
+fn frame(kind: u8, payload: &str) -> Vec<u8> {
+    let mut out = vec![FRAME_MAGIC, kind];
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&frame_crc(kind, payload.as_bytes()).to_le_bytes());
+    out.extend_from_slice(payload.as_bytes());
+    out
+}
+
+/// The `JournalError::Replay` record index inside `result`, if that is
+/// what it holds.
+fn replay_index<T: std::fmt::Debug>(result: &Result<T, AdmitError>) -> Option<usize> {
+    match result {
+        Err(AdmitError::Journal(JournalError::Replay { record, .. })) => Some(*record),
+        _ => None,
+    }
+}
+
+/// A tampered record — an `X` whose payload is not what re-exporting
+/// yields, or an `E` whose fast-path flag is neither `n` nor `f` — is
+/// refused with `JournalError::Replay` naming its index by recovery, by
+/// a follower resyncing its mirror, and by a follower receiving it on the
+/// live stream. Both frames carry valid CRCs.
+#[test]
+fn tampered_records_are_refused_by_recovery_and_followers_alike() {
+    let trace = TraceSpec::new(12, 2.2, 4).domains(2).generate().unwrap();
+    let next_at = trace.last().unwrap().at + 1.0;
+    for name in ["export", "flag"] {
+        let path = tmp(&format!("tampered_{name}.wal"));
+        let payload = {
+            let mut e = primary_engine(&path, 2);
+            dvs_admit::trace::replay(&mut e, &trace).unwrap();
+            e.export_domain(1).unwrap()
+        };
+        let mut bytes = std::fs::read(&path).unwrap();
+        let index = dvs_admit::journal::scan_bytes(&bytes).records.len();
+        bytes.extend(if name == "export" {
+            let forged = payload.replacen("tsr ", "tsr 9", 1);
+            frame(b'X', &format!("1 {forged}"))
+        } else {
+            let tick = EventRecord::new(next_at, EventKind::Tick);
+            frame(b'E', &format!("x {}", format_event(&tick)))
+        });
+        std::fs::write(&path, &bytes).unwrap();
+
+        let recovered = AdmissionEngine::recover(
+            &path,
+            vec![xscale_ideal(), xscale_ideal()],
+            Box::new(OnlineGreedy),
+            config(),
+            jconfig(),
+        );
+        assert_eq!(replay_index(&recovered), Some(index), "{name}: recovery");
+
+        // Resync: the tampered record is already in the mirror. The
+        // primary address is dead, so a follower that accepted the
+        // record would only see its lease lapse.
+        let mirror = tmp(&format!("tampered_{name}.mirror"));
+        std::fs::write(&mirror, &bytes).unwrap();
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let opts = FollowerOptions {
+            exit_on_lease_expiry: true,
+            heartbeat_timeout: Duration::from_millis(50),
+            ..follower_options(&dead.to_string(), &mirror)
+        };
+        let resynced = replication::run_follower(
+            &Mutex::new(engine_with_domains(2)),
+            &Role::follower(),
+            &opts,
+        );
+        assert_eq!(replay_index(&resynced), Some(index), "{name}: resync");
+
+        // Live stream: a hub serves the tampered journal to a follower
+        // whose mirror starts empty.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let hub = Arc::new(ReplicationHub::new(1));
+        let hub_thread = {
+            let (hub, path) = (Arc::clone(&hub), path.clone());
+            std::thread::spawn(move || serve_hub(&listener, &path, &hub, hub_options()))
+        };
+        let _ = std::fs::remove_file(&mirror);
+        let role = Arc::new(Role::follower());
+        let follower = {
+            let (role, opts) = (Arc::clone(&role), follower_options(&addr, &mirror));
+            std::thread::spawn(move || {
+                replication::run_follower(&Mutex::new(engine_with_domains(2)), &role, &opts)
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !follower.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        role.request_stop();
+        let streamed = follower.join().unwrap();
+        assert_eq!(replay_index(&streamed), Some(index), "{name}: live stream");
+        hub.shutdown();
+        hub_thread.join().unwrap().unwrap();
+    }
 }

@@ -63,7 +63,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dvs_admit::json::{self, JsonValue};
+use dvs_admit::json::{self, err_response, ids_json, JsonValue};
 use dvs_admit::server::Handled;
 use dvs_admit::{AdmitClient, ClientConfig, ClientError};
 
@@ -214,14 +214,6 @@ pub struct Router {
     metrics: RouterMetrics,
 }
 
-fn err_response(kind: &str, id: Option<usize>, msg: &str) -> String {
-    let id = id.map_or_else(String::new, |i| format!(",\"id\":{i}"));
-    format!(
-        "{{\"ok\":false,\"kind\":\"{kind}\",\"error\":\"{}\"{id}}}",
-        json::escape(msg)
-    )
-}
-
 fn shard_unavailable(s: usize, e: &ClientError) -> String {
     err_response("shard-unavailable", None, &format!("shard {s}: {e}"))
 }
@@ -243,11 +235,6 @@ fn line_is_shed(line: &str) -> bool {
     line.split_whitespace()
         .nth(2)
         .is_some_and(|v| v.starts_with("shed@"))
-}
-
-fn ids_json(ids: &[usize]) -> String {
-    let items: Vec<String> = ids.iter().map(usize::to_string).collect();
-    format!("[{}]", items.join(","))
 }
 
 /// Asks a shard's engine for its `layout` — one `(fenced, import-key)`
